@@ -3,15 +3,20 @@
 Layers, bottom to top:
 
 * :mod:`gbsopt.gaussian` — squeezed-vacuum states from a symmetric
-  parameter matrix (Autonne-Takagi factorization, Husimi covariance);
-* :mod:`gbsopt.torontonian` — exact click-pattern probabilities,
+  parameter matrix; owns theta -> Takagi -> Husimi covariance (one
+  batched path for single states and stacks) and reduced states and
+  vacuum marginals (one gather of Sigma_T);
+* :mod:`gbsopt.torontonian` — the module (not the function of that
+  name, which lives inside it): exact click-pattern probabilities,
   enumeration and chain-rule sampling;
 * :mod:`gbsopt.problems` — flight-gate assignment instances, QUBO
-  assembly and brute-force ground truth;
+  assembly, brute-force ground truth and the enumerated <Q>;
 * :mod:`gbsopt.optim` — CVaR / expectation cost functions and the two
-  training drivers;
+  training drivers; owns the closed-form <Q> and the train defaults
+  (the fields of ``TrainConfig``, from which the harness and the CLI
+  derive theirs);
 * :mod:`gbsopt.harness` — batch sweeps producing success-fraction
-  reports, with a CLI in :mod:`gbsopt.cli`.
+  reports and the run-record format, with a CLI in :mod:`gbsopt.cli`.
 """
 
 from .errors import (
@@ -56,7 +61,6 @@ from .torontonian import (
     full_distribution,
     pattern_probability,
     sample,
-    torontonian,
 )
 
 __version__ = "0.1.0"
@@ -98,6 +102,5 @@ __all__ = [
     "full_distribution",
     "pattern_probability",
     "sample",
-    "torontonian",
     "__version__",
 ]

@@ -9,26 +9,23 @@ failed, 5 sweep finished with some failed runs.
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .errors import CapacityError, GbsOptError, GenerationError, TrainingFailedError
 from .harness import (
     ExperimentPlan,
     WORKERS_ENV_VAR,
-    _derive_seed,
+    _config_dict,
+    _result_dict,
+    _run_info,
     record_to_json,
     run_experiment,
     verify_report,
+    write_instances,
 )
 from .optim import DEFAULT_THRESHOLDS, TrainConfig, train
-from .problems import (
-    assemble_qubo,
-    brute_force_solve,
-    dump_instance,
-    generate_instance,
-    instance_filename,
-    load_instance,
-)
+from .problems import assemble_qubo, brute_force_solve, load_instance
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -90,19 +87,9 @@ def cmd_generate(args):
     sizes = values["sizes"]
     if isinstance(sizes, str):
         sizes = _parse_sizes(sizes)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     plan = ExperimentPlan(sizes=sizes, instances_per_size=values["instances"],
                           base_seed=values["base_seed"])
-    written = []
-    for n_flights, n_gates in plan.sizes:
-        for idx in range(plan.instances_per_size):
-            seed = _derive_seed(plan.base_seed, n_flights, n_gates, idx)
-            instance = generate_instance(n_flights, n_gates, seed)
-            path = out_dir / instance_filename(instance)
-            path.write_text(dump_instance(instance))
-            written.append(path)
-    for path in written:
+    for _, _, path in write_instances(plan, Path(args.out)):
         print(path)
     return EXIT_OK
 
@@ -125,37 +112,14 @@ def cmd_solve(args):
 
 
 _TRAIN_DEFAULTS = {
-    "alpha": 1.0,
-    "shots_k": 0,
-    "mask_size": None,
-    "max_evals": None,
-    "optimizer": "cobyla",
-    "adam_lr": 0.05,
-    "adam_steps": 500,
-    "init_scale": 0.1,
-    "mask_rule": "algebraic",
-    "max_seconds": None,
-    "seed": 0,
-    "thresholds": list(DEFAULT_THRESHOLDS),
-}
+    f.name: f.default for f in fields(TrainConfig) if f.default is not MISSING
+} | {"seed": 0, "thresholds": list(DEFAULT_THRESHOLDS)}
 
 
 def cmd_train(args):
     file_cfg = _load_config(args.config)
-    flag_values = {
-        "alpha": args.alpha,
-        "shots_k": args.shots,
-        "mask_size": args.mask_size,
-        "max_evals": args.max_evals,
-        "optimizer": args.optimizer,
-        "adam_lr": args.adam_lr,
-        "adam_steps": args.adam_steps,
-        "init_scale": args.init_scale,
-        "mask_rule": args.mask_rule,
-        "max_seconds": args.max_seconds,
-        "seed": args.seed,
-        "thresholds": _parse_floats(args.thresholds) if args.thresholds else None,
-    }
+    flag_values = {key: getattr(args, key) for key in _TRAIN_DEFAULTS}
+    flag_values["thresholds"] = _parse_floats(args.thresholds) if args.thresholds else None
     values = _merged(_TRAIN_DEFAULTS, file_cfg, flag_values)
     thresholds = tuple(values.pop("thresholds"))
 
@@ -164,29 +128,8 @@ def cmd_train(args):
     cfg = TrainConfig(**values).resolved(instance.n_modes)
     record = train(assemble_qubo(instance), cfg, thresholds)
 
-    from dataclasses import asdict
-
-    config = asdict(cfg)
-    config["thresholds"] = list(thresholds)
-    run_info = {
-        "instance_id": instance_path.stem,
-        "instance_file": instance_path.name,
-        "n_modes": instance.n_modes,
-        "n_flights": instance.n_flights,
-        "n_gates": instance.n_gates,
-        "alpha": cfg.alpha,
-        "restart": 0,
-    }
-    result = {
-        "best_theta": record.best_theta.entries.tolist(),
-        "cost_trace": [[int(i), float(c)] for i, c in record.cost_trace],
-        "n_evals": int(record.n_evals),
-        "final_fidelity": float(record.final_fidelity),
-        "success": {str(t): bool(v) for t, v in sorted(record.success.items())},
-        "timed_out": bool(record.timed_out),
-        "error": None,
-    }
-    full = record_to_json(run_info, config, result)
+    run_info = _run_info(instance_path.stem, instance_path, instance, cfg.alpha, restart=0)
+    full = record_to_json(run_info, _config_dict(cfg, thresholds), _result_dict(record))
     out_path = Path(args.out) if args.out else instance_path.with_suffix(".record.json")
     out_path.write_text(json.dumps(full, indent=1) + "\n")
     print(
@@ -208,16 +151,10 @@ def cmd_experiment(args):
     }
     merged = _merged({}, plan_dict, flag_values)
     train_overrides = dict(merged.get("train", {}))
-    for key, flag in (
-        ("shots_k", args.shots),
-        ("max_evals", args.max_evals),
-        ("adam_steps", args.adam_steps),
-        ("init_scale", args.init_scale),
-        ("max_seconds", args.max_seconds),
-        ("optimizer", args.optimizer),
-    ):
-        if flag is not None:
-            train_overrides[key] = flag
+    for key in ("shots_k", "max_evals", "adam_steps", "init_scale", "max_seconds",
+                "optimizer"):
+        if getattr(args, key) is not None:
+            train_overrides[key] = getattr(args, key)
     if train_overrides:
         merged["train"] = train_overrides
     plan = ExperimentPlan.from_dict(merged)
@@ -271,7 +208,7 @@ def build_parser():
     p_train.add_argument("instance", help="instance JSON file")
     p_train.add_argument("--alpha", type=float)
     p_train.add_argument(
-        "--shots", type=int,
+        "--shots", type=int, dest="shots_k",
         help="shots per evaluation; 0 = exact mode, 1000 is the usual sampled choice",
     )
     p_train.add_argument("--mask-size", type=int, dest="mask_size")
@@ -296,7 +233,7 @@ def build_parser():
     p_exp.add_argument("--alphas")
     p_exp.add_argument("--thresholds")
     p_exp.add_argument("--base-seed", type=int, dest="base_seed")
-    p_exp.add_argument("--shots", type=int)
+    p_exp.add_argument("--shots", type=int, dest="shots_k")
     p_exp.add_argument("--max-evals", type=int, dest="max_evals")
     p_exp.add_argument("--adam-steps", type=int, dest="adam_steps")
     p_exp.add_argument("--init-scale", type=float, dest="init_scale")

@@ -77,20 +77,19 @@ class ThetaMatrix:
     def from_upper(cls, n_modes, upper):
         """Assemble from the row-major upper triangle (diagonal included)."""
         upper = np.asarray(upper, dtype=float)
-        pairs = upper_triangle_indices(n_modes)
-        if upper.shape != (len(pairs),):
+        rows, cols = np.triu_indices(n_modes)  # row-major, like upper_triangle_indices
+        if upper.shape != rows.shape:
             raise ValueError(
-                f"expected {len(pairs)} upper-triangle entries, got {upper.shape}"
+                f"expected {rows.size} upper-triangle entries, got {upper.shape}"
             )
         entries = np.zeros((n_modes, n_modes))
-        for (i, j), v in zip(pairs, upper):
-            entries[i, j] = v
-            entries[j, i] = v
+        entries[rows, cols] = upper
+        entries[cols, rows] = upper
         return cls(entries)
 
     def upper(self):
         """Row-major upper triangle as a vector (inverse of from_upper)."""
-        return np.array([self.entries[i, j] for i, j in upper_triangle_indices(self.n_modes)])
+        return self.entries[np.triu_indices(self.n_modes)]
 
 
 @dataclass(frozen=True)
@@ -163,32 +162,53 @@ def takagi_decompose(theta):
     """
     if not isinstance(theta, ThetaMatrix):
         theta = ThetaMatrix(theta)
-    lam, vec = np.linalg.eigh(theta.entries)
-    r = np.abs(lam)
-    phases = np.where(lam >= 0, 1.0 + 0.0j, 1.0j)
-    unitary = vec.astype(complex) * phases[np.newaxis, :]
+    unitary, r = takagi_batch(theta.entries)
     order = np.argsort(-r, kind="stable")
     return TakagiFactors(unitary=unitary[:, order], squeezings=r[order])
 
 
-def build_state(factors):
-    """Husimi covariance of squeezed vacua sent through an interferometer.
+def takagi_batch(thetas):
+    """Unsorted Takagi factors (U, r) of real symmetric matrices on the last two axes.
+
+    Columns keep the ascending eigendecomposition order; no validation.
+    """
+    lam, vec = np.linalg.eigh(thetas)
+    phases = np.where(lam >= 0, 1.0 + 0.0j, 1.0j)
+    return vec.astype(complex) * phases[..., np.newaxis, :], np.abs(lam)
+
+
+def husimi_sigmas(u, r):
+    """Husimi covariances for Takagi factors stacked on leading axes.
 
     With C = diag(cosh 2r) and S = diag(sinh 2r),
 
         Sigma = [[U C U^dag, U S U^T], [(U S U^T)*, (U C U^dag)*]] / 2 + I/2,
 
-    which gives Sigma = I for the vacuum.  ``O = I - inv(Sigma)`` is
+    which gives Sigma = I for the vacuum.  The columns of U are used in
+    the order given: reordering them changes the result in the last bits.
+    """
+    n = r.shape[-1]
+    ucu = (u * np.cosh(2.0 * r)[..., np.newaxis, :]) @ np.conj(np.swapaxes(u, -1, -2))
+    usu = (u * np.sinh(2.0 * r)[..., np.newaxis, :]) @ np.swapaxes(u, -1, -2)
+    sigmas = np.empty(r.shape[:-1] + (2 * n, 2 * n), dtype=complex)
+    sigmas[..., :n, :n] = ucu
+    sigmas[..., :n, n:] = usu
+    sigmas[..., n:, :n] = usu.conj()
+    sigmas[..., n:, n:] = ucu.conj()
+    sigmas *= 0.5
+    sigmas += 0.5 * np.eye(2 * n)
+    return sigmas
+
+
+def build_state(factors):
+    """Validated Gaussian state of squeezed vacua sent through an interferometer.
+
+    Sigma comes from :func:`husimi_sigmas`; ``O = I - inv(Sigma)`` is
     computed by direct inversion and ``sqrt(det Sigma)`` from the
     log-determinant; both are validated here so downstream probability
     code can trust them.
     """
-    u = factors.unitary
-    r = factors.squeezings
-    n = factors.n_modes
-    ucu = (u * np.cosh(2.0 * r)[np.newaxis, :]) @ u.conj().T
-    usu = (u * np.sinh(2.0 * r)[np.newaxis, :]) @ u.T
-    sigma = 0.5 * np.block([[ucu, usu], [usu.conj(), ucu.conj()]]) + 0.5 * np.eye(2 * n)
+    sigma = husimi_sigmas(factors.unitary, factors.squeezings)
 
     herm_defect = np.abs(sigma - sigma.conj().T).max()
     if herm_defect > DECOMPOSITION_TOL:
@@ -202,8 +222,13 @@ def build_state(factors):
             f"covariance eigenvalue {eigs.min()} below the Husimi floor 1/2"
         )
 
+    return _state_from_sigma(sigma)
+
+
+def _state_from_sigma(sigma):
+    """GaussianState with O and sqrt(det Sigma) derived and checked."""
     try:
-        o_matrix = np.eye(2 * n) - np.linalg.inv(sigma)
+        o_matrix = np.eye(sigma.shape[0]) - np.linalg.inv(sigma)
     except np.linalg.LinAlgError as exc:  # unreachable for finite r; guard anyway
         raise InvalidStateError("covariance is numerically singular") from exc
 
@@ -221,24 +246,40 @@ def state_from_theta(theta):
     return build_state(takagi_decompose(theta))
 
 
-def reduced_sigma(state, modes):
-    """Covariance of the reduced state on the given modes (keeps pairing)."""
-    modes = _checked_modes(state.n_modes, modes)
-    ix = np.concatenate([modes, modes + state.n_modes])
-    return state.sigma[np.ix_(ix, ix)]
+def reduced_sigmas(sigmas, subsets):
+    """Reduced covariances on mode subsets (keeps the a / a^dag pairing).
+
+    ``sigmas`` stacks 2N x 2N covariances on its leading axes; ``subsets``
+    is an integer array whose last axis lists the modes of one subset.
+    The result has shape ``sigmas.shape[:-2] + subsets.shape[:-1] + (2k, 2k)``.
+    """
+    subsets = np.asarray(subsets)
+    ix = np.concatenate([subsets, subsets + sigmas.shape[-1] // 2], axis=-1)
+    return sigmas[..., ix[..., :, np.newaxis], ix[..., np.newaxis, :]]
 
 
-def vacuum_marginal(state, modes):
-    """Probability of zero photons on every mode in ``modes``.
+def reduced_state(state, modes):
+    """The reduced Gaussian state on ``modes``, in the order given."""
+    return _state_from_sigma(reduced_sigmas(state.sigma, modes))
+
+
+def vacuum_marginals(sigmas, subsets):
+    """Probability of zero photons on every mode of each subset.
 
     Equals ``1 / sqrt(det Sigma_T)`` where Sigma_T is the reduced Husimi
     covariance on T; outcomes on the remaining modes are unconstrained.
+    Shapes broadcast as in :func:`reduced_sigmas`.
     """
-    sub = reduced_sigma(state, modes)
-    det = np.linalg.det(sub)
-    if not (det.real > 0 and abs(det.imag) <= 1e-8 * max(1.0, abs(det.real))):
-        raise InvalidStateError(f"reduced covariance determinant {det} not real positive")
-    return float(1.0 / np.sqrt(det.real))
+    det = np.linalg.det(reduced_sigmas(sigmas, subsets))
+    re = det.real
+    if not np.all((re > 0) & (np.abs(det.imag) <= 1e-8 * np.maximum(1.0, re))):
+        raise InvalidStateError("reduced covariance determinant not real positive")
+    return 1.0 / np.sqrt(re)
+
+
+def vacuum_marginal(state, modes):
+    """P(no photons on every mode in ``modes``) for one state."""
+    return float(vacuum_marginals(state.sigma, _checked_modes(state.n_modes, modes)))
 
 
 def _checked_modes(n_modes, modes):

@@ -25,7 +25,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -58,17 +58,11 @@ RECORD_FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
 WORKERS_ENV_VAR = "GBSOPT_WORKERS"
 
+#: TrainConfig defaults bar the per-run seed and alpha; sweeps pick the
+#: optimizer per alpha ("auto") and cap each run's wall time
 DEFAULT_TRAIN_OVERRIDES = {
-    "shots_k": 0,
-    "mask_size": None,
-    "max_evals": None,
-    "optimizer": "auto",
-    "adam_lr": 0.05,
-    "adam_steps": 500,
-    "init_scale": 0.1,
-    "mask_rule": "algebraic",
-    "max_seconds": 600.0,
-}
+    f.name: f.default for f in fields(TrainConfig) if f.name not in ("seed", "alpha")
+} | {"optimizer": "auto", "max_seconds": 600.0}
 
 
 def size_to_flights_gates(n):
@@ -149,28 +143,49 @@ def _derive_seed(*components):
 
 
 def _train_config_for(plan, alpha, train_seed):
-    overrides = plan.train
-    optimizer = overrides["optimizer"]
-    if optimizer == "auto":
-        optimizer = "adam" if alpha == 1.0 and overrides["shots_k"] == 0 else "cobyla"
-    return TrainConfig(
-        seed=train_seed,
-        alpha=alpha,
-        shots_k=overrides["shots_k"],
-        mask_size=overrides["mask_size"],
-        max_evals=overrides["max_evals"],
-        optimizer=optimizer,
-        adam_lr=overrides["adam_lr"],
-        adam_steps=overrides["adam_steps"],
-        init_scale=overrides["init_scale"],
-        mask_rule=overrides["mask_rule"],
-        max_seconds=overrides["max_seconds"],
-    )
+    overrides = dict(plan.train)
+    if overrides["optimizer"] == "auto":
+        exact_mean = alpha == 1.0 and overrides["shots_k"] == 0
+        overrides["optimizer"] = "adam" if exact_mean else "cobyla"
+    return TrainConfig(seed=train_seed, alpha=alpha, **overrides)
+
+
+def write_instances(plan, out_dir: Path):
+    """Generate the plan's instances into ``out_dir``, in plan order.
+
+    Returns (instance seed, instance, path) triples.  A file is written
+    only when it is missing or its text differs, so resuming a sweep
+    leaves the instance files untouched.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out = []
+    for n_flights, n_gates in plan.sizes:
+        for idx in range(plan.instances_per_size):
+            seed = _derive_seed(plan.base_seed, n_flights, n_gates, idx)
+            instance = generate_instance(n_flights, n_gates, seed)
+            path = out_dir / instance_filename(instance)
+            text = dump_instance(instance)
+            if not path.exists() or path.read_text() != text:
+                _atomic_write(path, text)
+            out.append((seed, instance, path))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # run records
 # ---------------------------------------------------------------------------
+
+
+def _run_info(instance_id, inst_path, instance, alpha, restart):
+    return {
+        "instance_id": instance_id,
+        "instance_file": inst_path.name,
+        "n_modes": instance.n_modes,
+        "n_flights": instance.n_flights,
+        "n_gates": instance.n_gates,
+        "alpha": float(alpha),
+        "restart": restart,
+    }
 
 
 def record_to_json(run_info, config, result):
@@ -260,9 +275,7 @@ def execute_run(task):
     wall = time.monotonic() - started
     full = record_to_json(run_info, _config_dict(cfg, thresholds), result)
     full["metadata"]["wall_time_s"] = wall
-    full["config_sha256"] = hashlib.sha256(
-        json.dumps({"run": run_info, "config": full["config"]}, sort_keys=True).encode()
-    ).hexdigest()
+    full["config_sha256"] = _config_hash(task)
     _atomic_write(out_path, json.dumps(full, indent=1) + "\n")
     return _summary_from_record(full)
 
@@ -285,9 +298,9 @@ def _summary_from_record(record):
     }
 
 
-def _expected_config_hash(task):
-    cfg = TrainConfig(**task["config"])
-    config = _config_dict(cfg, task["thresholds"])
+def _config_hash(task):
+    """Content hash of a task's run info and record config; keys resumption."""
+    config = _config_dict(TrainConfig(**task["config"]), task["thresholds"])
     return hashlib.sha256(
         json.dumps({"run": task["run_info"], "config": config}, sort_keys=True).encode()
     ).hexdigest()
@@ -299,47 +312,30 @@ def _expected_config_hash(task):
 
 
 def _build_tasks(plan, out_dir: Path):
-    instances_dir = out_dir / "instances"
     runs_dir = out_dir / "runs"
-    instances_dir.mkdir(parents=True, exist_ok=True)
     runs_dir.mkdir(parents=True, exist_ok=True)
     tasks = []
-    for n_flights, n_gates in plan.sizes:
-        n = n_flights * n_gates
-        for idx in range(plan.instances_per_size):
-            inst_seed = _derive_seed(plan.base_seed, n_flights, n_gates, idx)
-            instance = generate_instance(n_flights, n_gates, inst_seed)
-            inst_path = instances_dir / instance_filename(instance)
-            _atomic_write(inst_path, dump_instance(instance))
-            instance_id = f"{n}_{inst_seed}"
-            for alpha in plan.alphas:
-                cfg_template = _train_config_for(plan, alpha, train_seed=0)
-                for restart in range(plan.restarts):
-                    train_seed = _derive_seed(inst_seed, restart)
-                    # records carry the size-resolved config (mask_size,
-                    # max_evals filled in), which also feeds the resume hash
-                    cfg = TrainConfig(
-                        **{**asdict(cfg_template), "seed": train_seed}
-                    ).resolved(n)
-                    run_info = {
-                        "instance_id": instance_id,
-                        "instance_file": inst_path.name,
-                        "n_modes": n,
-                        "n_flights": n_flights,
-                        "n_gates": n_gates,
-                        "alpha": float(alpha),
-                        "restart": restart,
+    for inst_seed, instance, inst_path in write_instances(plan, out_dir / "instances"):
+        n = instance.n_modes
+        instance_id = f"{n}_{inst_seed}"
+        for alpha in plan.alphas:
+            for restart in range(plan.restarts):
+                train_seed = _derive_seed(inst_seed, restart)
+                # records carry the size-resolved config (mask_size,
+                # max_evals filled in), which also feeds the resume hash
+                cfg = _train_config_for(plan, alpha, train_seed).resolved(n)
+                record_name = f"{instance_id}_a{alpha:g}_r{restart}.json"
+                tasks.append(
+                    {
+                        "instance_path": str(inst_path),
+                        "record_path": str(runs_dir / record_name),
+                        "config": asdict(cfg),
+                        "thresholds": list(plan.thresholds),
+                        "run_info": _run_info(
+                            instance_id, inst_path, instance, alpha, restart
+                        ),
                     }
-                    record_name = f"{instance_id}_a{alpha:g}_r{restart}.json"
-                    tasks.append(
-                        {
-                            "instance_path": str(inst_path),
-                            "record_path": str(runs_dir / record_name),
-                            "config": asdict(cfg),
-                            "thresholds": list(plan.thresholds),
-                            "run_info": run_info,
-                        }
-                    )
+                )
     return tasks
 
 
@@ -352,7 +348,7 @@ def _resume_summary(task):
         record = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return None
-    if record.get("config_sha256") != _expected_config_hash(task):
+    if record.get("config_sha256") != _config_hash(task):
         return None
     return _summary_from_record(record)
 
@@ -497,32 +493,17 @@ def write_report(report, out_dir):
         + ["n_evals", "wall_time_s", "n_errors"],
         report.instance_rows,
     )
+    run_cols = (
+        ["n_modes", "n_flights", "n_gates", "instance_id", "alpha", "restart",
+         "final_fidelity"] + threshold_cols + ["n_evals", "wall_time_s", "error"]
+    )
     run_rows = []
     for s in report.run_rows:
-        row = {
-            k: s[k]
-            for k in (
-                "n_modes",
-                "n_flights",
-                "n_gates",
-                "instance_id",
-                "alpha",
-                "restart",
-                "final_fidelity",
-                "n_evals",
-                "wall_time_s",
-                "error",
-            )
-        }
+        row = dict(s)
         for t in report.plan.thresholds:
             row[f"success_{t:g}"] = s["success"].get(str(t), False)
-        run_rows.append(row)
-    _write_csv(
-        out_dir / "runs.csv",
-        ["n_modes", "n_flights", "n_gates", "instance_id", "alpha", "restart",
-         "final_fidelity"] + threshold_cols + ["n_evals", "wall_time_s", "error"],
-        run_rows,
-    )
+        run_rows.append({k: row[k] for k in run_cols})
+    _write_csv(out_dir / "runs.csv", run_cols, run_rows)
     payload = {
         "format_version": REPORT_FORMAT_VERSION,
         "kind": "success_report",

@@ -21,11 +21,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import CapacityError, InvalidStateError, TrainingFailedError
-from .gaussian import ThetaMatrix, state_from_theta, upper_triangle_indices
-from .problems import brute_force_solve
+from .errors import CapacityError, TrainingFailedError
+from .gaussian import (
+    ThetaMatrix,
+    husimi_sigmas,
+    state_from_theta,
+    takagi_batch,
+    upper_triangle_indices,
+    vacuum_marginals,
+)
+from .problems import brute_force_solve, expected_energy_exact
 from .torontonian import (
-    DEFAULT_ENUMERATION_CAP,
+    ENUMERATION_CAP,
     full_distribution,
     pattern_probability,
     sample,
@@ -179,11 +186,11 @@ def cvar_exact(qubo, dist, alpha):
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
+    if alpha == 1.0:
+        return expected_energy_exact(qubo, dist)
     energies = qubo.pattern_energies()
     if energies.shape != dist.probs.shape:
         raise ValueError("QUBO size does not match the distribution")
-    if alpha == 1.0:
-        return float(np.dot(dist.probs, energies))
     order = np.argsort(energies, kind="stable")
     e = energies[order]
     p = dist.probs[order]
@@ -196,69 +203,29 @@ def cvar_exact(qubo, dist, alpha):
     return acc / alpha
 
 
-def _vacuum_marginals_from_sigmas(sigmas):
-    """Single- and pair-mode vacuum probabilities for a stack of covariances.
+def _energies_from_sigmas(sigmas, qubo):
+    """<Q> for a stack of covariances by inclusion-exclusion on vacuum marginals:
 
-    Returns (pv1, pv2) with pv1[..., i] = P(no photons on mode i) and
-    pv2[..., k] over pairs in upper-triangle order (i < j).
+      <P1_i>      = 1 - pv(i)
+      <P1_i P1_j> = 1 - pv(i) - pv(j) + pv(ij)
+
+    so the whole expectation costs O(N^2) small determinants per state.
     """
-    n = sigmas.shape[-1] // 2
-    idx = np.arange(n)
-    # 2 x 2 blocks (i, i+n)
-    rows = np.stack([idx, idx + n], axis=-1)
-    sub1 = sigmas[..., rows[:, :, None], rows[:, None, :]]
-    det1 = np.linalg.det(sub1).real
-    pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)], dtype=int)
-    if len(pairs):
-        gather = np.concatenate([pairs, pairs + n], axis=1)  # (M, 4): i, j, i+n, j+n
-        sub2 = sigmas[..., gather[:, :, None], gather[:, None, :]]
-        det2 = np.linalg.det(sub2).real
-    else:
-        det2 = np.ones(sigmas.shape[:-2] + (0,))
-    if det1.min() <= 0 or (len(pairs) and det2.min() <= 0):
-        raise InvalidStateError("vacuum-marginal determinant not positive")
-    return 1.0 / np.sqrt(det1), 1.0 / np.sqrt(det2)
-
-
-def _sigma_batch(thetas):
-    """Husimi covariances for a (B, N, N) stack of symmetric matrices."""
-    lam, vec = np.linalg.eigh(thetas)
-    r = np.abs(lam)
-    phases = np.where(lam >= 0, 1.0 + 0.0j, 1.0j)
-    u = vec.astype(complex) * phases[:, np.newaxis, :]
-    ucu = (u * np.cosh(2.0 * r)[:, np.newaxis, :]) @ np.conj(np.swapaxes(u, 1, 2))
-    usu = (u * np.sinh(2.0 * r)[:, np.newaxis, :]) @ np.swapaxes(u, 1, 2)
-    b, n, _ = thetas.shape
-    sigmas = np.empty((b, 2 * n, 2 * n), dtype=complex)
-    sigmas[:, :n, :n] = ucu
-    sigmas[:, :n, n:] = usu
-    sigmas[:, n:, :n] = usu.conj()
-    sigmas[:, n:, n:] = ucu.conj()
-    sigmas *= 0.5
-    sigmas[:, np.arange(2 * n), np.arange(2 * n)] += 0.5
-    return sigmas
+    n = qubo.n
+    ii, jj = np.triu_indices(n, 1)  # pairs i < j in row-major order
+    pv1 = vacuum_marginals(sigmas, np.arange(n)[:, np.newaxis])
+    diag = np.diag(qubo.q)
+    out = pv1 @ (-diag) + diag.sum()
+    if ii.size:
+        pv2 = vacuum_marginals(sigmas, np.stack([ii, jj], axis=-1))
+        joint = 1.0 - pv1[..., ii] - pv1[..., jj] + pv2
+        out = out + joint @ (2.0 * qubo.q[ii, jj])
+    return out + qubo.offset
 
 
 def _analytic_energies(thetas, qubo):
-    """Batched <Q> for a (B, N, N) stack of parameter matrices.
-
-    Uses inclusion-exclusion on vacuum marginals:
-      <P1_i>      = 1 - pv(i)
-      <P1_i P1_j> = 1 - pv(i) - pv(j) + pv(ij)
-    so the whole expectation costs O(N^2) small determinants per matrix.
-    """
-    n = qubo.n
-    pv1, pv2 = _vacuum_marginals_from_sigmas(_sigma_batch(thetas))
-    diag = np.diag(qubo.q)
-    out = pv1 @ (-diag) + diag.sum()
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if pairs:
-        w = np.array([2.0 * qubo.q[i, j] for i, j in pairs])
-        ii = np.array([p[0] for p in pairs])
-        jj = np.array([p[1] for p in pairs])
-        joint = 1.0 - pv1[..., ii] - pv1[..., jj] + pv2
-        out = out + joint @ w
-    return out + qubo.offset
+    """Batched <Q> for a (B, N, N) stack of parameter matrices."""
+    return _energies_from_sigmas(husimi_sigmas(*takagi_batch(thetas)), qubo)
 
 
 def expected_energy_analytic(qubo, state):
@@ -270,18 +237,7 @@ def expected_energy_analytic(qubo, state):
     """
     if state.n_modes != qubo.n:
         raise ValueError("state and QUBO dimensions differ")
-    pv1, pv2 = _vacuum_marginals_from_sigmas(state.sigma[np.newaxis])
-    pv1, pv2 = pv1[0], pv2[0]
-    n = qubo.n
-    total = float(qubo.offset)
-    for i in range(n):
-        total += qubo.q[i, i] * (1.0 - pv1[i])
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += 2.0 * qubo.q[i, j] * (1.0 - pv1[i] - pv1[j] + pv2[k])
-            k += 1
-    return total
+    return float(_energies_from_sigmas(state.sigma, qubo))
 
 
 class _EvalBudget(Exception):
@@ -307,12 +263,10 @@ class _Objective:
         self.timed_out = False
 
     def theta_for(self, params):
-        upper = np.array(self.upper)
-        upper[self.mask_slots] = params
-        return ThetaMatrix.from_upper(self.n, upper)
+        return ThetaMatrix(self.theta_matrix_for(params))
 
     def theta_matrix_for(self, params):
-        # plain ndarray fast path for batched evaluation
+        # plain ndarray for batched evaluation
         upper = np.array(self.upper)
         upper[self.mask_slots] = params
         theta = np.zeros((self.n, self.n))
@@ -443,7 +397,7 @@ def train(qubo, cfg, thresholds=DEFAULT_THRESHOLDS):
     cfg = cfg.resolved(qubo.n)
     if cfg.optimizer == "adam" and (cfg.alpha != 1.0 or cfg.shots_k != 0):
         raise ValueError("the adam path trains the analytic alpha=1 cost in exact mode")
-    if cfg.shots_k == 0 and cfg.alpha < 1.0 and qubo.n > DEFAULT_ENUMERATION_CAP:
+    if cfg.shots_k == 0 and cfg.alpha < 1.0 and qubo.n > ENUMERATION_CAP:
         raise CapacityError("exact-distribution training exceeds the enumeration cap")
 
     ground_truth = brute_force_solve(qubo)

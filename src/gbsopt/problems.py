@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, GenerationError
+from .gaussian import _frozen_array
 from .torontonian import all_patterns
 
 __all__ = [
@@ -45,12 +46,6 @@ WALK_TIME_RANGE = (1.0, 10.0)
 TRANSFER_DENSITY = 0.5
 FORBIDDEN_DENSITY = 0.4
 MAX_GENERATION_ATTEMPTS = 100
-
-
-def _frozen(a, dtype=float):
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -89,7 +84,7 @@ class FgaInstance:
             raise ValueError("forbidden pairs must be stored once")
         if self.lambda_one < 0 or self.lambda_not < 0:
             raise ValueError("penalty weights must be nonnegative")
-        object.__setattr__(self, "transfer", _frozen(transfer))
+        object.__setattr__(self, "transfer", _frozen_array(transfer))
         object.__setattr__(self, "forbidden_pairs", tuple(sorted(pairs)))
 
     @property
@@ -113,7 +108,7 @@ class QuboProblem:
             raise ValueError("q must be square")
         if not np.array_equal(q, q.T):
             raise ValueError("q must be symmetric")
-        object.__setattr__(self, "q", _frozen(q))
+        object.__setattr__(self, "q", _frozen_array(q))
 
     @property
     def n(self):
@@ -155,7 +150,7 @@ class GroundTruth:
         m = np.asarray(self.minimizers, dtype=np.int8)
         if m.ndim != 2 or m.shape[0] == 0:
             raise ValueError("at least one minimizer is required")
-        object.__setattr__(self, "minimizers", _frozen(m, dtype=np.int8))
+        object.__setattr__(self, "minimizers", _frozen_array(m, dtype=np.int8))
 
 
 def generate_instance(n_flights, n_gates, seed):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvalidStateError
-from .gaussian import GaussianState
+from .gaussian import GaussianState, reduced_state
 
 __all__ = [
     "torontonian",
@@ -36,9 +36,8 @@ __all__ = [
     "index_to_pattern",
 ]
 
-#: enumeration is refused above this many modes no matter the requested cap
-HARD_ENUMERATION_CAP = 20
-DEFAULT_ENUMERATION_CAP = 16
+#: exact enumeration (and exact-mode training) is refused above this many modes
+ENUMERATION_CAP = 16
 
 #: negative probabilities within this tolerance are clamped to zero;
 #: anything more negative is treated as a corrupted state
@@ -154,7 +153,7 @@ class PatternDistribution:
         return float(self.probs[pattern_index(pattern)])
 
 
-def full_distribution(state: GaussianState, enumeration_cap=DEFAULT_ENUMERATION_CAP):
+def full_distribution(state: GaussianState):
     """Exact distribution over all 2^N patterns.
 
     All 2^N subset determinants are computed once and the pattern
@@ -163,12 +162,10 @@ def full_distribution(state: GaussianState, enumeration_cap=DEFAULT_ENUMERATION_
     sum for every pattern, at O(N 2^N) arithmetic instead of O(3^N)).
     Normalization is checked to 1e-9.
     """
-    if enumeration_cap > HARD_ENUMERATION_CAP:
-        raise ValueError(f"enumeration cap is limited to {HARD_ENUMERATION_CAP} modes")
     n = state.n_modes
-    if n > enumeration_cap:
+    if n > ENUMERATION_CAP:
         raise CapacityError(
-            f"{n} modes exceed the enumeration cap {enumeration_cap}; "
+            f"{n} modes exceed the enumeration cap {ENUMERATION_CAP}; "
             "use sample() instead"
         )
     inv_sqrt = 1.0 / np.sqrt(_subset_determinants(state.o_matrix, n))
@@ -193,23 +190,13 @@ class _PrefixMarginals:
     """Threshold-pattern marginals on mode prefixes, memoized.
 
     m(j, clicks) is the probability of observing the click subset
-    ``clicks`` on modes 0..j-1 irrespective of the remaining modes,
-    obtained by applying the Torontonian law to the reduced covariance
-    on the prefix.
+    ``clicks`` on modes 0..j-1 irrespective of the remaining modes: the
+    pattern probability of the reduced state on the prefix.
     """
 
     def __init__(self, state: GaussianState):
         n = state.n_modes
-        self._o = []
-        self._norm = []
-        for j in range(1, n + 1):
-            ix = np.concatenate([np.arange(j), np.arange(j) + n])
-            sub = state.sigma[np.ix_(ix, ix)]
-            self._o.append(np.eye(2 * j) - np.linalg.inv(sub))
-            sign, logdet = np.linalg.slogdet(sub)
-            if abs(sign - 1.0) > 1e-8:
-                raise InvalidStateError("reduced covariance determinant not positive")
-            self._norm.append(float(np.exp(0.5 * logdet.real)))
+        self._prefix = [reduced_state(state, np.arange(j)) for j in range(1, n + 1)]
         self._memo = {}
 
     def __call__(self, j, clicks):
@@ -218,9 +205,7 @@ class _PrefixMarginals:
         key = (j, clicks)
         value = self._memo.get(key)
         if value is None:
-            idx = [i for i in range(j) if (clicks >> i) & 1]
-            ix = idx + [i + j for i in idx]
-            value = torontonian(self._o[j - 1][np.ix_(ix, ix)]) / self._norm[j - 1]
+            value = pattern_probability(self._prefix[j - 1], index_to_pattern(clicks, j))
             self._memo[key] = value
         return value
 

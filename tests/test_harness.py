@@ -1,14 +1,24 @@
 """Tests for the experiment harness and the command-line interface."""
 
 import json
+import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gbsopt import ExperimentPlan, GbsOptError, load_instance, run_experiment, verify_report
+from gbsopt import (
+    ExperimentPlan,
+    GbsOptError,
+    TrainConfig,
+    load_instance,
+    run_experiment,
+    verify_report,
+)
 from gbsopt.cli import main
 from gbsopt.harness import (
+    _derive_seed,
     build_report,
     canonical_record_bytes,
     resolve_workers,
@@ -98,6 +108,18 @@ class TestRunExperiment:
         assert canonical_without_metadata(removed) == canonical_without_metadata(
             tmp_path / "b" / "runs" / removed.name
         )
+
+    def test_resume_leaves_instance_files_untouched(self, tmp_path):
+        plan = ExperimentPlan.from_dict(TINY_PLAN)
+        run_experiment(plan, tmp_path, workers=1)
+        files = sorted((tmp_path / "instances").glob("*.json"))
+        assert len(files) == 2
+        # an old stamp, so a rewrite shows even within one clock tick
+        stamp = 10**18
+        for f in files:
+            os.utime(f, ns=(stamp, stamp))
+        run_experiment(plan, tmp_path, workers=1)
+        assert [f.stat().st_mtime_ns for f in files] == [stamp, stamp]
 
     def test_verify_detects_tampering(self, tmp_path):
         plan = ExperimentPlan.from_dict(TINY_PLAN)
@@ -200,6 +222,31 @@ class TestCli:
         assert state_fidelity(theta, truth) == pytest.approx(
             record["result"]["final_fidelity"], abs=1e-10
         )
+
+    def test_train_record_matches_sweep_record(self, tmp_path):
+        assert set(ExperimentPlan().train) == (
+            {f.name for f in fields(TrainConfig)} - {"seed", "alpha"}
+        )
+        plan = ExperimentPlan.from_dict(
+            {**TINY_PLAN, "instances_per_size": 1, "restarts": 1, "alphas": [0.5],
+             "train": {"max_evals": 40}}
+        )
+        run_experiment(plan, tmp_path / "sweep", workers=1)
+        swept = json.loads(next((tmp_path / "sweep" / "runs").glob("*.json")).read_text())
+        instance = tmp_path / "sweep" / "instances" / swept["run"]["instance_file"]
+        assert swept["config"]["seed"] == _derive_seed(
+            load_instance(instance.read_text()).seed, 0
+        )
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps(swept["config"]))
+        rec = tmp_path / "rec.json"
+        assert main(["train", str(instance), "--config", str(config),
+                     "--out", str(rec)]) == 0
+        trained = json.loads(rec.read_text())
+        for block in ("config", "result"):
+            assert json.dumps(trained[block], sort_keys=True) == json.dumps(
+                swept[block], sort_keys=True
+            )
 
     def test_train_trivial_instance_record(self, tmp_path):
         # zero transfer and zero penalties make every pattern optimal:

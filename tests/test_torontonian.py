@@ -1,10 +1,12 @@
 """Tests for the threshold-detector probability layer."""
 
 import itertools
+import types
 
 import numpy as np
 import pytest
 
+import gbsopt
 from gbsopt import (
     CapacityError,
     InvalidStateError,
@@ -13,10 +15,9 @@ from gbsopt import (
     pattern_probability,
     sample,
     state_from_theta,
-    torontonian,
 )
 from gbsopt.gaussian import takagi_decompose, vacuum_marginal
-from gbsopt.torontonian import PatternDistribution, all_patterns, pattern_index
+from gbsopt.torontonian import PatternDistribution, all_patterns, pattern_index, torontonian
 
 from oracles import (
     bounded_random_theta,
@@ -27,6 +28,11 @@ from oracles import (
 
 def random_state(rng, n, spectral_radius=1.0):
     return state_from_theta(ThetaMatrix(bounded_random_theta(rng, n, spectral_radius)))
+
+
+def test_package_attribute_is_the_module():
+    assert isinstance(gbsopt.torontonian, types.ModuleType)
+    assert gbsopt.torontonian.sample is gbsopt.sample
 
 
 class TestTorontonian:
@@ -161,11 +167,9 @@ class TestFullDistribution:
         assert np.abs(relabeled - dist.probs).max() < 1e-11
 
     def test_capacity_errors(self):
-        state = state_from_theta(ThetaMatrix(np.zeros((3, 3))))
+        state = state_from_theta(ThetaMatrix(np.zeros((17, 17))))
         with pytest.raises(CapacityError, match="sample"):
-            full_distribution(state, enumeration_cap=2)
-        with pytest.raises(ValueError, match="limited"):
-            full_distribution(state, enumeration_cap=24)
+            full_distribution(state)
 
     def test_distribution_validates_length(self):
         with pytest.raises(ValueError, match="length"):
