@@ -9,8 +9,9 @@ class InvalidStateError(GbsOptError):
     """A Gaussian state (or derived quantity) violates its invariants.
 
     Raised when covariance matrices are singular or non-positive, when
-    subset determinants come out nonpositive or complex, or when a
-    probability leaves its admissible range by more than roundoff.
+    an O-submatrix is not Hermitian or I minus it is not positive definite
+    on some subset, or when a probability leaves its admissible range by
+    more than roundoff.
     """
 
 

@@ -191,7 +191,7 @@ def cvar_exact(qubo, dist, alpha):
     energies = qubo.pattern_energies()
     if energies.shape != dist.probs.shape:
         raise ValueError("QUBO size does not match the distribution")
-    order = np.argsort(energies, kind="stable")
+    order = qubo.energy_order()
     e = energies[order]
     p = dist.probs[order]
     cum = np.cumsum(p)

@@ -124,19 +124,32 @@ class QuboProblem:
         return np.einsum("mi,ij,mj->m", x, self.q, x) + self.offset
 
     def pattern_energies(self):
-        """Energies of all 2^N patterns in index order (bit i = mode i)."""
-        if self.n > BRUTE_FORCE_CAP:
-            raise CapacityError(f"{self.n} variables exceed the enumeration cap")
-        patterns = all_patterns(self.n)
-        if self.n <= 16:
-            return self.values(patterns)
-        # chunk the float conversion; the full float matrix at N = 20 is
-        # large enough to matter
-        chunk = 1 << 16
-        out = np.empty(patterns.shape[0])
-        for start in range(0, patterns.shape[0], chunk):
-            out[start : start + chunk] = self.values(patterns[start : start + chunk])
-        return out
+        """Energies of all 2^N patterns in index order (bit i = mode i).
+
+        Computed once per problem and returned as a read-only array.
+        """
+        energies = self.__dict__.get("_pattern_energies")
+        if energies is None:
+            if self.n > BRUTE_FORCE_CAP:
+                raise CapacityError(f"{self.n} variables exceed the enumeration cap")
+            patterns = all_patterns(self.n)
+            # chunk the float conversion; the full float matrix at N = 20 is
+            # large enough to matter
+            chunk = 1 << 16
+            energies = np.empty(patterns.shape[0])
+            for start in range(0, patterns.shape[0], chunk):
+                energies[start : start + chunk] = self.values(patterns[start : start + chunk])
+            energies = _frozen_array(energies)
+            object.__setattr__(self, "_pattern_energies", energies)
+        return energies
+
+    def energy_order(self):
+        """Stable argsort of :meth:`pattern_energies`, computed once per problem."""
+        order = self.__dict__.get("_energy_order")
+        if order is None:
+            order = _frozen_array(np.argsort(self.pattern_energies(), kind="stable"))
+            object.__setattr__(self, "_energy_order", order)
+        return order
 
 
 @dataclass(frozen=True)
@@ -210,26 +223,24 @@ def generate_instance(n_flights, n_gates, seed):
     )
 
 
-def _one_hot_assignments(n_flights, n_gates):
-    for gates in itertools.product(range(n_gates), repeat=n_flights):
-        x = np.zeros(n_flights * n_gates, dtype=np.int8)
-        for f, g in enumerate(gates):
-            x[f * n_gates + g] = 1
-        yield gates, x
-
-
 def _constraints_bind(instance):
-    """True when no transfer-optimal one-hot assignment is gate-feasible."""
+    """True when no transfer-optimal one-hot assignment is gate-feasible.
+
+    All |G|^|F| one-hot assignments are scored at once; row r of ``gates``
+    assigns flight f to gate gates[r, f], in itertools.product order.
+    """
     if not instance.forbidden_pairs:
         return False
-    records = []
-    for gates, x in _one_hot_assignments(instance.n_flights, instance.n_gates):
-        t = float(x @ instance.transfer @ x)
-        feasible = all(gates[i] != gates[j] for i, j in instance.forbidden_pairs)
-        records.append((t, feasible))
-    t_min = min(t for t, _ in records)
+    n_flights, n_gates = instance.n_flights, instance.n_gates
+    gates = np.array(list(itertools.product(range(n_gates), repeat=n_flights)))
+    x = np.zeros((gates.shape[0], instance.n_modes))
+    x[np.arange(gates.shape[0])[:, None], np.arange(n_flights) * n_gates + gates] = 1.0
+    t = np.einsum("mi,ij,mj->m", x, instance.transfer, x)
+    i, j = np.array(instance.forbidden_pairs).T
+    feasible = (gates[:, i] != gates[:, j]).all(axis=1)
+    t_min = float(t.min())
     tol = 1e-9 * max(1.0, abs(t_min))
-    return not any(feasible for t, feasible in records if t <= t_min + tol)
+    return not feasible[t <= t_min + tol].any()
 
 
 def satisfies_constraints(instance, x):

@@ -3,7 +3,9 @@
 Nothing here touches covariance matrices, Torontonians, or the package's
 QUBO assembly: the Fock oracle expands the squeezed state in the photon
 number basis, the QUBO helpers re-derive energies from the raw objective,
-and the second enumerator is a deliberately naive re-implementation.
+and the second enumerator is a deliberately naive re-implementation.  The
+subset determinants are computed one LU determinant at a time, and the
+mpmath reference redoes the whole probability law at 40 digits.
 """
 
 import itertools
@@ -127,3 +129,89 @@ def fga_objective_direct(instance, x):
         for g in range(instance.n_gates):
             total += instance.lambda_not * float(grid[i, g] * grid[j, g])
     return total
+
+
+def naive_subset_determinants(a, n):
+    """det(I - A_Z) for every Z subset of [n], one LU determinant per subset.
+
+    Indexed by bitmask; each determinant must come out real positive.
+    """
+    dets = np.empty(1 << n)
+    for mask in range(1 << n):
+        idx = [i for i in range(n) if (mask >> i) & 1]
+        if not idx:
+            dets[0] = 1.0
+            continue
+        ix = idx + [i + n for i in idx]
+        det = np.linalg.det(np.eye(2 * len(idx)) - a[np.ix_(ix, ix)])
+        if det.real <= 0.0 or abs(det.imag) > 1e-8 * max(1.0, abs(det.real)):
+            raise ValueError(f"subset determinant {det} is not real positive")
+        dets[mask] = det.real
+    return dets
+
+
+def mpmath_pattern_probabilities(theta, dps=40):
+    """All 2^N click-pattern probabilities of the state of a real theta.
+
+    Follows the probability law from theta itself at ``dps`` digits:
+    eigendecomposition, Husimi covariance, O = I - inv(Sigma) and the
+    inclusion-exclusion Torontonian of every pattern.  theta is real, so
+    the covariance is assembled as the real matrix it is.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        n = len(theta)
+        lam, vec = mpmath.eigsy(mpmath.matrix(np.asarray(theta).tolist()))
+        # U diag(cosh 2r) U^dag = V diag(cosh 2|lam|) V^T and
+        # U diag(sinh 2r) U^T = V diag(sinh 2 lam) V^T for real theta
+        c = vec * mpmath.diag([mpmath.cosh(2 * abs(x)) for x in lam]) * vec.T
+        s = vec * mpmath.diag([mpmath.sinh(2 * x) for x in lam]) * vec.T
+        sigma = mpmath.eye(2 * n) / 2
+        for i in range(n):
+            for j in range(n):
+                sigma[i, j] += c[i, j] / 2
+                sigma[i + n, j + n] += c[i, j] / 2
+                sigma[i, j + n] += s[i, j] / 2
+                sigma[i + n, j] += s[i, j] / 2
+        m = mpmath.inverse(sigma)  # I - O
+        sqrt_det_sigma = mpmath.sqrt(mpmath.det(sigma))
+        inv_sqrt = [mpmath.mpf(1)]
+        for mask in range(1, 1 << n):
+            ix = [i for i in range(n) if (mask >> i) & 1]
+            ix = ix + [i + n for i in ix]
+            sub = mpmath.matrix(len(ix), len(ix))
+            for r, i in enumerate(ix):
+                for col, j in enumerate(ix):
+                    sub[r, col] = m[i, j]
+            inv_sqrt.append(1 / mpmath.sqrt(mpmath.det(sub)))
+        probs = []
+        for pattern in range(1 << n):
+            tor = mpmath.fsum(
+                (-1) ** bin(pattern ^ z).count("1") * inv_sqrt[z]
+                for z in range(1 << n)
+                if z & ~pattern == 0
+            )
+            probs.append(float(tor / sqrt_det_sigma))
+    return np.array(probs)
+
+
+def constraints_bind_by_loops(instance):
+    """Whether every transfer-optimal one-hot assignment breaks a forbidden pair.
+
+    One assignment at a time, in itertools.product order.
+    """
+    if not instance.forbidden_pairs:
+        return False
+    n_gates = instance.n_gates
+    records = []
+    for gates in itertools.product(range(n_gates), repeat=instance.n_flights):
+        x = np.zeros(instance.n_flights * n_gates, dtype=np.int8)
+        for f, g in enumerate(gates):
+            x[f * n_gates + g] = 1
+        t = float(x @ instance.transfer @ x)
+        feasible = all(gates[i] != gates[j] for i, j in instance.forbidden_pairs)
+        records.append((t, feasible))
+    t_min = min(t for t, _ in records)
+    tol = 1e-9 * max(1.0, abs(t_min))
+    return not any(feasible for t, feasible in records if t <= t_min + tol)

@@ -13,10 +13,10 @@ from gbsopt import (
     generate_instance,
     load_instance,
 )
-from gbsopt.problems import dump_instance, satisfies_constraints
+from gbsopt.problems import _constraints_bind, dump_instance, satisfies_constraints
 from gbsopt.torontonian import PatternDistribution, all_patterns
 
-from oracles import enumerate_minimizers, fga_objective_direct
+from oracles import constraints_bind_by_loops, enumerate_minimizers, fga_objective_direct
 
 
 class TestGenerateInstance:
@@ -62,6 +62,34 @@ class TestGenerateInstance:
                 assert not satisfies_constraints(instance, pattern)
 
 
+    def test_constraint_check_matches_loop_oracle(self):
+        rng = np.random.default_rng(17)
+        sizes = [(2, 2), (2, 5), (3, 3), (4, 2), (3, 4), (5, 2), (4, 4)]
+        decisions = set()
+        for n_flights, n_gates in sizes:
+            for trial in range(8):
+                n = n_flights * n_gates
+                # integer transfer times make exact ties between assignments common
+                a = rng.integers(0, 4, (n, n)).astype(float)
+                if trial == 0:
+                    a[:] = 0.0
+                pairs = [
+                    (i, j)
+                    for i in range(n_flights)
+                    for j in range(i + 1, n_flights)
+                    if rng.random() < 0.5
+                ] or [(0, 1)]
+                instance = FgaInstance(
+                    n_flights=n_flights, n_gates=n_gates, transfer=a + a.T,
+                    forbidden_pairs=tuple(pairs), lambda_one=1.0, lambda_not=1.0,
+                    seed=trial,
+                )
+                expected = constraints_bind_by_loops(instance)
+                assert _constraints_bind(instance) == expected
+                decisions.add(expected)
+        assert decisions == {True, False}
+
+
 class TestAssembleQubo:
     def test_one_flight_two_gates_by_hand(self):
         instance = FgaInstance(
@@ -104,6 +132,28 @@ class TestAssembleQubo:
                 assert qubo.value(x) == pytest.approx(
                     fga_objective_direct(instance, x), abs=1e-12 * scale
                 )
+
+
+class TestQuboProblem:
+    def test_pattern_energies_computed_once_read_only(self):
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-1.0, 1.0, (6, 6))
+        qubo = QuboProblem(q=(a + a.T) / 2.0, offset=0.5)
+        energies = qubo.pattern_energies()
+        assert qubo.pattern_energies() is energies
+        assert not energies.flags.writeable
+        assert np.array_equal(energies, qubo.values(all_patterns(6)))
+
+    def test_energy_order_is_stable_argsort(self):
+        # duplicated energies: the stable order keeps ascending pattern index
+        qubo = QuboProblem(q=np.diag([1.0, 1.0, -2.0]))
+        order = qubo.energy_order()
+        assert qubo.energy_order() is order
+        assert not order.flags.writeable
+        assert order.tolist() == np.argsort(
+            qubo.pattern_energies(), kind="stable"
+        ).tolist()
+        assert order.tolist() == [4, 5, 6, 0, 7, 1, 2, 3]
 
 
 class TestBruteForce:

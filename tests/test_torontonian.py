@@ -1,10 +1,13 @@
 """Tests for the threshold-detector probability layer."""
 
 import itertools
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gbsopt
 from gbsopt import (
@@ -16,18 +19,36 @@ from gbsopt import (
     sample,
     state_from_theta,
 )
-from gbsopt.gaussian import takagi_decompose, vacuum_marginal
-from gbsopt.torontonian import PatternDistribution, all_patterns, pattern_index, torontonian
+from gbsopt.gaussian import TakagiFactors, build_state, takagi_decompose, vacuum_marginal
+from gbsopt.torontonian import (
+    BATCH_BYTES,
+    PatternDistribution,
+    _subset_determinants,
+    all_patterns,
+    pattern_index,
+    torontonian,
+)
 
 from oracles import (
     bounded_random_theta,
     fock_state_amplitudes,
     fock_threshold_probabilities,
+    mpmath_pattern_probabilities,
+    naive_subset_determinants,
 )
 
 
 def random_state(rng, n, spectral_radius=1.0):
     return state_from_theta(ThetaMatrix(bounded_random_theta(rng, n, spectral_radius)))
+
+
+def complex_state(rng, n, max_squeezing):
+    """State of squeezed vacua through a random complex unitary; its O is complex."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    unitary = q * (np.diag(r) / np.abs(np.diag(r)))
+    squeezings = rng.uniform(0.0, max_squeezing, n)
+    return build_state(TakagiFactors(unitary=unitary, squeezings=squeezings))
 
 
 def test_package_attribute_is_the_module():
@@ -66,6 +87,78 @@ class TestTorontonian:
         a = np.array([[0.0, 2.0], [2.0, 0.0]])
         with pytest.raises(InvalidStateError, match="not real positive"):
             torontonian(a)
+
+
+class TestSubsetDeterminants:
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 10, 12])
+    def test_real_o_matches_naive_loop(self, n):
+        rng = np.random.default_rng(100 + n)
+        for radius in (0.5, 1.0, 2.0, 4.0):
+            o = random_state(rng, n, radius).o_matrix
+            assert not o.imag.any()
+            got = _subset_determinants(o, n)
+            assert np.abs(got - naive_subset_determinants(o, n)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 9, 12])
+    def test_complex_o_matches_naive_loop(self, n):
+        rng = np.random.default_rng(200 + n)
+        for max_squeezing in (1.0, 4.0):
+            o = complex_state(rng, n, max_squeezing).o_matrix
+            assert np.abs(o.imag).max() > 1e-3
+            got = _subset_determinants(o, n)
+            assert np.abs(got - naive_subset_determinants(o, n)).max() <= 1e-12
+
+    def test_rejects_non_hermitian(self):
+        a = np.array([[0.0, 0.5], [0.1, 0.0]])
+        with pytest.raises(InvalidStateError, match="not Hermitian"):
+            torontonian(a)
+
+    def test_rejects_hermitian_not_positive_definite(self):
+        # every one-mode block of I - A is the identity, but the two-mode
+        # matrix has eigenvalues 1 +- 2
+        m = np.eye(4)
+        m[0, 3] = m[3, 0] = m[1, 2] = m[2, 1] = 2.0
+        with pytest.raises(InvalidStateError, match="not real positive"):
+            torontonian(np.eye(4) - m)
+
+    def test_memory_stays_within_batches_at_16_modes(self):
+        state = random_state(np.random.default_rng(16), 16, 1.0)
+        full_distribution(state)  # builds the cached subset index
+        tracemalloc.start()
+        try:
+            full_distribution(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one unbatched gather of the 12870 subsets of size 8 alone would
+        # take 12870 * 16 * 16 * 8 bytes = 26 MB; the tables over 2^16
+        # patterns and a few batches account for the rest
+        unbatched_level = 12870 * 16 * 16 * 8
+        tables = 4 * 8 * (1 << 16)
+        assert peak < tables + 4 * BATCH_BYTES
+        assert peak < unbatched_level / 3
+
+
+class TestMpmathReference:
+    @pytest.mark.parametrize("radius", [1.0, 2.0, 3.0, 4.0])
+    def test_probabilities_at_40_digits(self, radius):
+        rng = np.random.default_rng(int(radius * 10))
+        theta = bounded_random_theta(rng, 6, radius)
+        probs = full_distribution(state_from_theta(ThetaMatrix(theta))).probs
+        assert np.abs(probs - mpmath_pattern_probabilities(theta)).max() <= 5e-15
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_mode_squeezed_near_five(self, seed):
+        # sqrt(det Sigma) ~ 2e10 here, so the roundoff asymmetry of
+        # inv(Sigma) matters: read from one triangle only, it moved these
+        # probabilities by 5e-10 to 8e-10
+        rng = np.random.default_rng(seed)
+        v, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        lam = 5.0 * rng.choice([-1, 1], 6) * rng.uniform(0.8, 1.0, 6)
+        theta = (v * lam) @ v.T
+        theta = (theta + theta.T) / 2.0
+        probs = full_distribution(state_from_theta(ThetaMatrix(theta))).probs
+        assert np.abs(probs - mpmath_pattern_probabilities(theta)).max() <= 1e-11
 
 
 class TestPatternProbability:
@@ -174,6 +267,28 @@ class TestFullDistribution:
     def test_distribution_validates_length(self):
         with pytest.raises(ValueError, match="length"):
             PatternDistribution(n_modes=2, probs=np.ones(3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    radius=st.floats(2.0, 4.0),
+)
+def test_permutation_and_marginal_invariance_at_high_squeezing(seed, n, radius):
+    rng = np.random.default_rng(seed)
+    theta = bounded_random_theta(rng, n, radius)
+    perm = rng.permutation(n)
+    probs = full_distribution(state_from_theta(ThetaMatrix(theta))).probs
+    permuted = full_distribution(
+        state_from_theta(ThetaMatrix(theta[np.ix_(perm, perm)]))
+    ).probs
+    # mode i of the permuted state is mode perm[i] of the original
+    relabel = (all_patterns(n).astype(np.int64) << perm).sum(axis=1)
+    assert np.abs(probs[relabel] - permuted).max() <= 1e-12
+    state = state_from_theta(ThetaMatrix(theta))
+    dark = probs[all_patterns(n)[:, 0] == 0].sum()
+    assert dark == pytest.approx(vacuum_marginal(state, [0]), abs=1e-12)
 
 
 class TestSample:
