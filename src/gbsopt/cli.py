@@ -15,7 +15,6 @@ from pathlib import Path
 from .errors import CapacityError, GbsOptError, GenerationError, TrainingFailedError
 from .harness import (
     ExperimentPlan,
-    WORKERS_ENV_VAR,
     _config_dict,
     _result_dict,
     _run_info,
@@ -55,12 +54,16 @@ def _parse_floats(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _load_config(path):
+def _load_config(path, known):
+    """The JSON object in ``path`` ({} for None); keys must lie in ``known``."""
     if path is None:
         return {}
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ValueError(f"unknown key(s) in {path}: {sorted(unknown)}")
     return data
 
 
@@ -77,11 +80,13 @@ def _merged(defaults, file_values, flag_values):
 # ---------------------------------------------------------------------------
 
 
+_GENERATE_DEFAULTS = {"sizes": [6, 8], "instances": 10, "base_seed": 2023}
+
+
 def cmd_generate(args):
-    file_cfg = _load_config(args.config)
     values = _merged(
-        {"sizes": [6, 8], "instances": 10, "base_seed": 2023},
-        file_cfg,
+        _GENERATE_DEFAULTS,
+        _load_config(args.config, _GENERATE_DEFAULTS),
         {"sizes": args.sizes, "instances": args.instances, "base_seed": args.base_seed},
     )
     sizes = values["sizes"]
@@ -117,7 +122,7 @@ _TRAIN_DEFAULTS = {
 
 
 def cmd_train(args):
-    file_cfg = _load_config(args.config)
+    file_cfg = _load_config(args.config, _TRAIN_DEFAULTS)
     flag_values = {key: getattr(args, key) for key in _TRAIN_DEFAULTS}
     flag_values["thresholds"] = _parse_floats(args.thresholds) if args.thresholds else None
     values = _merged(_TRAIN_DEFAULTS, file_cfg, flag_values)
@@ -140,7 +145,7 @@ def cmd_train(args):
 
 
 def cmd_experiment(args):
-    plan_dict = _load_config(args.plan)
+    plan_dict = _load_config(args.plan, [f.name for f in fields(ExperimentPlan)])
     flag_values = {
         "sizes": _parse_sizes(args.sizes) if args.sizes else None,
         "instances_per_size": args.instances,
@@ -151,8 +156,7 @@ def cmd_experiment(args):
     }
     merged = _merged({}, plan_dict, flag_values)
     train_overrides = dict(merged.get("train", {}))
-    for key in ("shots_k", "max_evals", "adam_steps", "init_scale", "max_seconds",
-                "optimizer"):
+    for key in ("shots_k", "max_evals", "adam_steps", "max_seconds", "optimizer"):
         if getattr(args, key) is not None:
             train_overrides[key] = getattr(args, key)
     if train_overrides:
@@ -211,13 +215,9 @@ def build_parser():
         "--shots", type=int, dest="shots_k",
         help="shots per evaluation; 0 = exact mode, 1000 is the usual sampled choice",
     )
-    p_train.add_argument("--mask-size", type=int, dest="mask_size")
     p_train.add_argument("--max-evals", type=int, dest="max_evals")
     p_train.add_argument("--optimizer", choices=["cobyla", "adam"])
-    p_train.add_argument("--adam-lr", type=float, dest="adam_lr")
     p_train.add_argument("--adam-steps", type=int, dest="adam_steps")
-    p_train.add_argument("--init-scale", type=float, dest="init_scale")
-    p_train.add_argument("--mask-rule", choices=["algebraic", "absolute"], dest="mask_rule")
     p_train.add_argument("--max-seconds", type=float, dest="max_seconds")
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--thresholds", help='fidelity thresholds, e.g. "0.1,0.01"')
@@ -236,14 +236,9 @@ def build_parser():
     p_exp.add_argument("--shots", type=int, dest="shots_k")
     p_exp.add_argument("--max-evals", type=int, dest="max_evals")
     p_exp.add_argument("--adam-steps", type=int, dest="adam_steps")
-    p_exp.add_argument("--init-scale", type=float, dest="init_scale")
     p_exp.add_argument("--max-seconds", type=float, dest="max_seconds")
     p_exp.add_argument("--optimizer", choices=["auto", "cobyla", "adam"])
-    p_exp.add_argument(
-        "--workers",
-        type=int,
-        help=f"worker processes (default: ${WORKERS_ENV_VAR} or CPU count)",
-    )
+    p_exp.add_argument("--workers", type=int, help="worker processes (default: CPU count)")
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.set_defaults(func=cmd_experiment)
 

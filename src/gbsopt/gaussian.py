@@ -28,7 +28,7 @@ __all__ = [
     "build_state",
     "state_from_theta",
     "vacuum_marginal",
-    "upper_triangle_indices",
+    "symmetric_from_upper",
 ]
 
 #: max-abs tolerance for unitarity / reconstruction / hermiticity checks
@@ -41,9 +41,21 @@ def _frozen_array(a, dtype=None):
     return out
 
 
-def upper_triangle_indices(n):
-    """Row-major (i, j) pairs with i <= j; the canonical parameter order."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
+def symmetric_from_upper(n, upper):
+    """Symmetric (..., n, n) arrays from row-major upper triangles.
+
+    ``upper`` has shape (..., n(n+1)/2) and lists each triangle, diagonal
+    included, in ``np.triu_indices(n)`` order: the canonical parameter
+    order of the trainable matrix.
+    """
+    upper = np.asarray(upper, dtype=float)
+    rows, cols = np.triu_indices(n)
+    if upper.shape[-1:] != rows.shape:
+        raise ValueError(f"expected {rows.size} upper-triangle entries, got {upper.shape}")
+    out = np.zeros(upper.shape[:-1] + (n, n))
+    out[..., rows, cols] = upper
+    out[..., cols, rows] = upper
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,16 +88,7 @@ class ThetaMatrix:
     @classmethod
     def from_upper(cls, n_modes, upper):
         """Assemble from the row-major upper triangle (diagonal included)."""
-        upper = np.asarray(upper, dtype=float)
-        rows, cols = np.triu_indices(n_modes)  # row-major, like upper_triangle_indices
-        if upper.shape != rows.shape:
-            raise ValueError(
-                f"expected {rows.size} upper-triangle entries, got {upper.shape}"
-            )
-        entries = np.zeros((n_modes, n_modes))
-        entries[rows, cols] = upper
-        entries[cols, rows] = upper
-        return cls(entries)
+        return cls(symmetric_from_upper(n_modes, upper))
 
     def upper(self):
         """Row-major upper triangle as a vector (inverse of from_upper)."""

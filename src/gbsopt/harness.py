@@ -51,12 +51,10 @@ __all__ = [
     "canonical_record_bytes",
     "default_sizes",
     "size_to_flights_gates",
-    "WORKERS_ENV_VAR",
 ]
 
-RECORD_FORMAT_VERSION = 1
-REPORT_FORMAT_VERSION = 1
-WORKERS_ENV_VAR = "GBSOPT_WORKERS"
+RECORD_FORMAT_VERSION = 2
+REPORT_FORMAT_VERSION = 2
 
 #: TrainConfig defaults bar the per-run seed and alpha; sweeps pick the
 #: optimizer per alpha ("auto") and cap each run's wall time
@@ -321,8 +319,8 @@ def _build_tasks(plan, out_dir: Path):
         for alpha in plan.alphas:
             for restart in range(plan.restarts):
                 train_seed = _derive_seed(inst_seed, restart)
-                # records carry the size-resolved config (mask_size,
-                # max_evals filled in), which also feeds the resume hash
+                # records carry the size-resolved config (max_evals
+                # filled in), which also feeds the resume hash
                 cfg = _train_config_for(plan, alpha, train_seed).resolved(n)
                 record_name = f"{instance_id}_a{alpha:g}_r{restart}.json"
                 tasks.append(
@@ -356,9 +354,6 @@ def _resume_summary(task):
 def resolve_workers(workers=None):
     if workers is not None:
         return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        return max(1, int(env))
     return max(1, os.cpu_count() or 1)
 
 

@@ -11,7 +11,8 @@ Three interchangeable objectives over the trainable matrix:
 
 Training touches only a masked subset of the parameter matrix entries,
 chosen from the smallest QUBO coefficients; everything else stays frozen
-at its random initialization.
+at its random initialization.  The mask size, the initialization scale
+and the ADAM step size are the module constants below.
 """
 
 import math
@@ -26,8 +27,8 @@ from .gaussian import (
     ThetaMatrix,
     husimi_sigmas,
     state_from_theta,
+    symmetric_from_upper,
     takagi_batch,
-    upper_triangle_indices,
     vacuum_marginals,
 )
 from .problems import brute_force_solve, expected_energy_exact
@@ -51,8 +52,15 @@ __all__ = [
 ]
 
 OPTIMIZERS = ("cobyla", "adam")
-MASK_RULES = ("algebraic", "absolute")
 DEFAULT_THRESHOLDS = (0.1, 0.01)
+
+#: trained entries per mode: min(3N, N(N+1)/2) entries of theta move
+MASK_PER_MODE = 3
+#: theta starts i.i.d. uniform on [-INIT_SCALE, INIT_SCALE]; COBYLA's
+#: initial trust radius is half of it
+INIT_SCALE = 0.1
+#: ADAM step size
+ADAM_LR = 0.05
 
 #: central finite-difference step for gradients of the analytic cost
 FD_STEP = 1e-5
@@ -62,22 +70,20 @@ FD_STEP = 1e-5
 class TrainConfig:
     """Resolved knobs for one training run.
 
-    ``shots_k = 0`` selects exact-distribution mode; ``mask_size`` and
-    ``max_evals`` default to 3N and 50N once the problem size is known.
-    ``optimizer`` is "cobyla" (derivative-free linear-approximation trust
-    region) or "adam" (first-order on the analytic alpha = 1 cost).
+    ``shots_k = 0`` selects exact-distribution mode; ``max_evals``
+    defaults to 50N once the problem size is known.  ``optimizer`` is
+    "cobyla" (derivative-free linear-approximation trust region) or "adam"
+    (first-order on the analytic alpha = 1 cost).  The mask size, the
+    initialization scale and the ADAM step size are not knobs: see
+    ``MASK_PER_MODE``, ``INIT_SCALE`` and ``ADAM_LR``.
     """
 
     seed: int
     alpha: float = 1.0
     shots_k: int = 0
-    mask_size: int | None = None
     max_evals: int | None = None
     optimizer: str = "cobyla"
-    adam_lr: float = 0.05
     adam_steps: int = 500
-    init_scale: float = 0.1
-    mask_rule: str = "algebraic"
     max_seconds: float | None = None
 
     def __post_init__(self):
@@ -87,10 +93,6 @@ class TrainConfig:
             raise ValueError("shots_k must be >= 0")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.mask_rule not in MASK_RULES:
-            raise ValueError(f"mask_rule must be one of {MASK_RULES}")
-        if self.adam_lr <= 0 or self.init_scale <= 0:
-            raise ValueError("adam_lr and init_scale must be positive")
         if self.adam_steps < 1:
             raise ValueError("adam_steps must be >= 1")
         if self.max_evals is not None and self.max_evals < 1:
@@ -98,12 +100,8 @@ class TrainConfig:
 
     def resolved(self, n):
         """Fill size-dependent defaults for an N-variable problem."""
-        n_upper = n * (n + 1) // 2
-        mask_size = self.mask_size if self.mask_size is not None else min(3 * n, n_upper)
-        if mask_size > n_upper:
-            raise ValueError(f"mask_size {mask_size} exceeds {n_upper} parameters")
         max_evals = self.max_evals if self.max_evals is not None else 50 * n
-        return replace(self, mask_size=mask_size, max_evals=max_evals)
+        return replace(self, max_evals=max_evals)
 
 
 @dataclass(frozen=True)
@@ -145,23 +143,18 @@ class TrainRecord:
     timed_out: bool = False
 
 
-def build_mask(qubo, mask_size, rule="algebraic"):
+def build_mask(qubo, mask_size):
     """Positions of the ``mask_size`` smallest QUBO coefficients.
 
-    Candidates are the upper-triangle (i, j), i <= j; "algebraic" ranks by
-    signed value (most favorable couplings first), "absolute" by |q_ij|.
-    Ties break lexicographically, so the mask is deterministic.
+    Candidates are the upper-triangle (i, j), i <= j, ranked by signed
+    value (most favorable couplings first).  Ties break lexicographically
+    by (i, j), so the mask is deterministic.
     """
-    if rule not in MASK_RULES:
-        raise ValueError(f"rule must be one of {MASK_RULES}")
-    pairs = upper_triangle_indices(qubo.n)
-    if mask_size > len(pairs):
-        raise ValueError(f"mask_size {mask_size} exceeds {len(pairs)} candidates")
-    key = (lambda ij: (qubo.q[ij], ij)) if rule == "algebraic" else (
-        lambda ij: (abs(qubo.q[ij]), ij)
-    )
-    ranked = sorted(pairs, key=key)
-    return ParameterMask(indices=tuple(ranked[:mask_size]))
+    rows, cols = np.triu_indices(qubo.n)
+    if mask_size > rows.size:
+        raise ValueError(f"mask_size {mask_size} exceeds {rows.size} candidates")
+    ranked = np.lexsort((cols, rows, qubo.q[rows, cols]))[:mask_size]
+    return ParameterMask(indices=tuple(zip(rows[ranked], cols[ranked])))
 
 
 def cvar_from_samples(energies, alpha):
@@ -252,13 +245,13 @@ class _Objective:
         self.cfg = cfg
         self.n = qubo.n
         self.upper = np.array(theta_init_upper)
-        self.pair_pos = {p: k for k, p in enumerate(upper_triangle_indices(self.n))}
-        self.mask_slots = np.array([self.pair_pos[p] for p in mask.indices], dtype=int)
-        self._triu = np.triu_indices(self.n)  # row-major, matches upper order
+        slot_of = np.zeros((self.n, self.n), dtype=int)
+        slot_of[np.triu_indices(self.n)] = np.arange(self.upper.size)
+        self.mask_slots = np.array([slot_of[p] for p in mask.indices])
         self.trace = []
         self.n_evals = 0
         self.best_cost = np.inf
-        self.best_params = np.array([self.upper[k] for k in self.mask_slots])
+        self.best_params = self.upper[self.mask_slots]
         self.started = time.monotonic()
         self.timed_out = False
 
@@ -266,13 +259,11 @@ class _Objective:
         return ThetaMatrix(self.theta_matrix_for(params))
 
     def theta_matrix_for(self, params):
-        # plain ndarray for batched evaluation
-        upper = np.array(self.upper)
-        upper[self.mask_slots] = params
-        theta = np.zeros((self.n, self.n))
-        theta[self._triu] = upper
-        theta[(self._triu[1], self._triu[0])] = upper
-        return theta
+        """Plain (..., N, N) ndarrays for a (..., mask size) stack of params."""
+        params = np.asarray(params)
+        upper = np.broadcast_to(self.upper, params.shape[:-1] + self.upper.shape).copy()
+        upper[..., self.mask_slots] = params
+        return symmetric_from_upper(self.n, upper)
 
     def _check_budget(self):
         if self.n_evals == 0:
@@ -323,7 +314,7 @@ def _run_cobyla(objective, x0):
             method="COBYLA",
             options={
                 "maxiter": objective.cfg.max_evals,
-                "rhobeg": 0.5 * objective.cfg.init_scale,
+                "rhobeg": 0.5 * INIT_SCALE,
                 "tol": 1e-6,
             },
         )
@@ -344,18 +335,17 @@ def _run_adam(objective, x0):
     v = np.zeros_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     dim = params.size
+    slots = np.arange(dim)
     for step in range(1, cfg.adam_steps + 1):
         try:
             objective(params)
         except _EvalBudget:
             break
-        thetas = np.empty((2 * dim, objective.n, objective.n))
-        for k in range(dim):
-            for s, shift in enumerate((FD_STEP, -FD_STEP)):
-                probe = np.array(params)
-                probe[k] += shift
-                thetas[2 * k + s] = objective.theta_matrix_for(probe)
-        costs = _analytic_energies(thetas, objective.qubo)
+        # rows 2k and 2k + 1 shift parameter k by +FD_STEP and -FD_STEP
+        probes = np.repeat(params[np.newaxis], 2 * dim, axis=0)
+        probes[2 * slots, slots] += FD_STEP
+        probes[2 * slots + 1, slots] -= FD_STEP
+        costs = _analytic_energies(objective.theta_matrix_for(probes), objective.qubo)
         objective.n_evals += 2 * dim
         if not np.all(np.isfinite(costs)):
             raise TrainingFailedError("non-finite training cost", trace=objective.trace)
@@ -364,14 +354,10 @@ def _run_adam(objective, x0):
         v = beta2 * v + (1.0 - beta2) * grad**2
         m_hat = m / (1.0 - beta1**step)
         v_hat = v / (1.0 - beta2**step)
-        params = params - cfg.adam_lr * m_hat / (np.sqrt(v_hat) + eps)
-        if cfg.max_seconds is not None and (
-            time.monotonic() - objective.started > cfg.max_seconds
-        ):
-            objective.timed_out = True
-            break
+        params = params - ADAM_LR * m_hat / (np.sqrt(v_hat) + eps)
     else:
-        # record the cost at the final iterate so best_theta can claim it
+        # record the cost at the final iterate so best_theta can claim it;
+        # like every evaluation, this one checks the time budget first
         try:
             objective(params)
         except _EvalBudget:
@@ -390,9 +376,10 @@ def train(qubo, cfg, thresholds=DEFAULT_THRESHOLDS):
     """One training run: masked initialization, optimization, fidelity.
 
     The parameter matrix starts with all upper-triangle entries i.i.d.
-    uniform on [-init_scale, init_scale]; only masked entries move.
-    Exact-distribution mode requires N within the enumeration cap.  The
-    returned record is a pure function of (qubo, cfg, thresholds).
+    uniform on [-INIT_SCALE, INIT_SCALE]; only the min(MASK_PER_MODE * N,
+    N(N+1)/2) entries chosen by ``build_mask`` move.  Exact-distribution
+    mode requires N within the enumeration cap.  The returned record is a
+    pure function of (qubo, cfg, thresholds).
     """
     cfg = cfg.resolved(qubo.n)
     if cfg.optimizer == "adam" and (cfg.alpha != 1.0 or cfg.shots_k != 0):
@@ -401,12 +388,12 @@ def train(qubo, cfg, thresholds=DEFAULT_THRESHOLDS):
         raise CapacityError("exact-distribution training exceeds the enumeration cap")
 
     ground_truth = brute_force_solve(qubo)
-    mask = build_mask(qubo, cfg.mask_size, cfg.mask_rule)
+    n_upper = qubo.n * (qubo.n + 1) // 2
+    mask = build_mask(qubo, min(MASK_PER_MODE * qubo.n, n_upper))
     init_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
     )
-    n_upper = qubo.n * (qubo.n + 1) // 2
-    theta_init_upper = init_rng.uniform(-cfg.init_scale, cfg.init_scale, n_upper)
+    theta_init_upper = init_rng.uniform(-INIT_SCALE, INIT_SCALE, n_upper)
 
     objective = _Objective(qubo, cfg, theta_init_upper, mask)
     x0 = np.array(objective.best_params)

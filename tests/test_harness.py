@@ -156,11 +156,8 @@ class TestRunExperiment:
         assert "synthetic failure" in errored[0]["error"]
         assert errored[0]["final_fidelity"] == 0.0
 
-    def test_worker_resolution(self, monkeypatch):
+    def test_worker_resolution(self):
         assert resolve_workers(3) == 3
-        monkeypatch.setenv("GBSOPT_WORKERS", "5")
-        assert resolve_workers() == 5
-        monkeypatch.delenv("GBSOPT_WORKERS")
         assert resolve_workers() >= 1
 
 
@@ -281,6 +278,45 @@ class TestCli:
         assert record["config"]["alpha"] == 0.5  # flag beats file
         assert record["config"]["max_evals"] == 30  # file beats default
         assert record["config"]["seed"] == 4
+
+    def test_config_files_reject_unknown_keys(self, tmp_path, capsys):
+        config = tmp_path / "generate.json"
+        config.write_text(json.dumps({"instancez": 3}))
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "i")]) == 2
+        assert "instancez" in capsys.readouterr().err
+        assert not (tmp_path / "i").exists()
+
+        main(["generate", "--sizes", "1x2", "--instances", "1", "--out", str(tmp_path / "j")])
+        instance = next((tmp_path / "j").glob("*.json"))
+        for key in ("init_scal", "init_scale", "mask_size", "adam_lr", "mask_rule"):
+            config = tmp_path / "train.json"
+            config.write_text(json.dumps({key: 0.2}))
+            assert main(["train", str(instance), "--config", str(config)]) == 2
+            assert repr(key) in capsys.readouterr().err
+
+    def test_removed_train_knobs_fail_loudly(self, tmp_path, capsys):
+        main(["generate", "--sizes", "1x2", "--instances", "1", "--out", str(tmp_path / "i")])
+        instance = next((tmp_path / "i").glob("*.json"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", str(instance), "--init-scale", "0.2"])
+        assert excinfo.value.code == 2
+        assert "--init-scale" in capsys.readouterr().err
+
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps({**TINY_PLAN, "train": {"mask_size": 4}}))
+        assert main(["experiment", "--plan", str(plan_file), "--out", str(tmp_path / "x"),
+                     "--workers", "1"]) == 2
+        assert "mask_size" in capsys.readouterr().err
+
+        # a report written before the knobs became constants names them
+        out = tmp_path / "exp"
+        run_experiment(ExperimentPlan.from_dict({**TINY_PLAN, "restarts": 1,
+                                                 "instances_per_size": 1}), out, workers=1)
+        payload = json.loads((out / "report.json").read_text())
+        payload["plan"]["train"]["init_scale"] = 0.1
+        (out / "report.json").write_text(json.dumps(payload))
+        assert main(["verify", str(out)]) == 2
+        assert "init_scale" in capsys.readouterr().err
 
     def test_experiment_and_verify(self, tmp_path):
         plan_file = tmp_path / "plan.json"

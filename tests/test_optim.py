@@ -19,9 +19,8 @@ from gbsopt import (
     state_from_theta,
     train,
 )
-from gbsopt.optim import ParameterMask, _analytic_energies
+from gbsopt.optim import INIT_SCALE, MASK_PER_MODE, ParameterMask, _analytic_energies
 from gbsopt.torontonian import PatternDistribution
-from gbsopt.gaussian import upper_triangle_indices
 
 from oracles import bounded_random_theta
 
@@ -47,16 +46,13 @@ class TestBuildMask:
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(15)
-        qubo = random_qubo(rng, 5)
-        mask = build_mask(qubo, 7)
-        pairs = [(i, j) for i in range(5) for j in range(i, 5)]
-        expected = sorted(pairs, key=lambda ij: (qubo.q[ij], ij))[:7]
-        assert list(mask.indices) == expected
-
-    def test_absolute_rule(self):
-        qubo = QuboProblem(q=np.array([[-5.0, 0.1], [0.1, 2.0]]))
-        assert build_mask(qubo, 1, rule="algebraic").indices == ((0, 0),)
-        assert build_mask(qubo, 1, rule="absolute").indices == ((0, 1),)
+        # the rounded QUBO has many tied coefficients, broken by (i, j)
+        for qubo in (random_qubo(rng, 5), QuboProblem(q=np.round(random_qubo(rng, 6).q))):
+            n = qubo.n
+            mask = build_mask(qubo, 7)
+            pairs = [(i, j) for i in range(n) for j in range(i, n)]
+            expected = sorted(pairs, key=lambda ij: (qubo.q[ij], ij))[:7]
+            assert list(mask.indices) == expected
 
     def test_mask_validation(self):
         with pytest.raises(ValueError, match="i <= j"):
@@ -185,7 +181,6 @@ class TestAnalyticExpectation:
         instance = generate_instance(2, 3, seed=7)
         qubo = assemble_qubo(instance)
         n = qubo.n
-        pairs = upper_triangle_indices(n)
         theta0 = bounded_random_theta(rng, n, spectral_radius=0.3)
 
         def cost(upper):
@@ -193,11 +188,11 @@ class TestAnalyticExpectation:
                 qubo, state_from_theta(ThetaMatrix.from_upper(n, upper))
             )
 
-        upper0 = np.array([theta0[i, j] for i, j in pairs])
+        upper0 = theta0[np.triu_indices(n)]
 
         def grad(h):
-            g = np.empty(len(pairs))
-            for k in range(len(pairs)):
+            g = np.empty(upper0.size)
+            for k in range(upper0.size):
                 up = upper0.copy()
                 up[k] += h
                 down = upper0.copy()
@@ -243,16 +238,15 @@ class TestTrain:
         qubo = assemble_qubo(instance)
         cfg = TrainConfig(seed=3, alpha=0.1)
         record = train(qubo, cfg)
-        resolved = cfg.resolved(qubo.n)
         init_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
         )
         n_upper = qubo.n * (qubo.n + 1) // 2
-        init_upper = init_rng.uniform(-cfg.init_scale, cfg.init_scale, n_upper)
-        masked = set(build_mask(qubo, resolved.mask_size).indices)
+        init_upper = init_rng.uniform(-INIT_SCALE, INIT_SCALE, n_upper)
+        masked = set(build_mask(qubo, min(MASK_PER_MODE * qubo.n, n_upper)).indices)
         trained_upper = record.best_theta.upper()
-        for slot, (i, j) in enumerate(upper_triangle_indices(qubo.n)):
-            if (i, j) not in masked:
+        for slot, ij in enumerate(zip(*np.triu_indices(qubo.n))):
+            if ij not in masked:
                 assert trained_upper[slot] == init_upper[slot]
 
     def test_eval_budget_respected(self):
@@ -304,6 +298,18 @@ class TestTrain:
         record = train(qubo, TrainConfig(seed=3, alpha=0.1, max_seconds=0.0))
         assert record.timed_out
 
+    def test_adam_timeout_is_flagged(self):
+        # the first step's cost and its 2m gradient probes run, then the
+        # next evaluation finds the budget spent
+        instance = generate_instance(2, 3, seed=41)
+        qubo = assemble_qubo(instance)
+        record = train(qubo, TrainConfig(seed=3, alpha=1.0, optimizer="adam",
+                                         max_seconds=0.0))
+        mask_size = min(3 * qubo.n, qubo.n * (qubo.n + 1) // 2)
+        assert record.timed_out
+        assert len(record.cost_trace) == 1
+        assert record.n_evals == 1 + 2 * mask_size
+
     def test_exact_mode_capacity(self):
         qubo = QuboProblem(q=np.zeros((17, 17)))
         with pytest.raises(CapacityError):
@@ -325,7 +331,3 @@ class TestTrain:
             TrainConfig(seed=1, alpha=0.0)
         with pytest.raises(ValueError):
             TrainConfig(seed=1, optimizer="bfgs")
-        with pytest.raises(ValueError):
-            TrainConfig(seed=1, mask_rule="random")
-        with pytest.raises(ValueError):
-            TrainConfig(seed=1, mask_size=40).resolved(4)
