@@ -3,12 +3,19 @@
 Layers, bottom to top:
 
 * :mod:`gbsopt.gaussian` — squeezed-vacuum states from a symmetric
-  parameter matrix; owns theta -> Takagi -> Husimi covariance (one
-  batched path for single states and stacks) and reduced states and
-  vacuum marginals (one gather of Sigma_T);
-* :mod:`gbsopt.torontonian` — the module (not the function of that
-  name, which lives inside it): exact click-pattern probabilities,
-  enumeration and chain-rule sampling;
+  parameter matrix, in real form: a state is the two real N x N blocks
+  P = (I + e^{2 theta}) / 2 and Q = (I + e^{-2 theta}) / 2 of its Husimi
+  covariance, built from one ``eigh`` (one batched path for single
+  states and stacks); owns the vacuum marginals
+  1 / sqrt(det P_W det Q_W), all from one subset-determinant kernel
+  (closed-form 1 x 1 and 2 x 2 minors for the analytic <Q>);
+* :mod:`gbsopt.torontonian` — exact click-pattern probabilities,
+  enumeration and chain-rule sampling, each an inclusion-exclusion sum
+  of those vacuum marginals (the threshold-detector law of Quesada,
+  Arrazola & Killoran, PRA 98, 062322 (2018)).  Probabilities stay within
+  1.3e-15 of a 40-digit evaluation up to spectral radius 6 and within
+  1.2e-14 where one mode is squeezed to r = 5.5; the enumeration holds
+  tables of 2^N floats and one 1 MiB kernel batch;
 * :mod:`gbsopt.problems` — flight-gate assignment instances, QUBO
   assembly, brute-force ground truth and the enumerated <Q>;
 * :mod:`gbsopt.optim` — CVaR / expectation cost functions and the two
@@ -30,7 +37,6 @@ from .gaussian import (
     GaussianState,
     TakagiFactors,
     ThetaMatrix,
-    build_state,
     state_from_theta,
     takagi_decompose,
     vacuum_marginal,
@@ -74,7 +80,6 @@ __all__ = [
     "GaussianState",
     "TakagiFactors",
     "ThetaMatrix",
-    "build_state",
     "state_from_theta",
     "takagi_decompose",
     "vacuum_marginal",

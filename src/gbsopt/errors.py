@@ -8,9 +8,11 @@ class GbsOptError(Exception):
 class InvalidStateError(GbsOptError):
     """A Gaussian state (or derived quantity) violates its invariants.
 
-    Raised when covariance matrices are singular or non-positive, when
-    an O-submatrix is not Hermitian or I minus it is not positive definite
-    on some subset, or when a probability leaves its admissible range by
+    Raised when a state's covariance blocks P and Q are malformed (wrong
+    shape, not finite or not exactly symmetric), when a principal
+    submatrix of P or Q that a probability needs is not positive definite
+    (a failed Cholesky factorization, or a non-positive closed-form 1 x 1
+    or 2 x 2 minor), or when a probability leaves its admissible range by
     more than roundoff.
     """
 

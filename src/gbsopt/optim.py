@@ -25,11 +25,10 @@ from scipy.optimize import minimize
 from .errors import CapacityError, TrainingFailedError
 from .gaussian import (
     ThetaMatrix,
-    husimi_sigmas,
+    covariance_blocks,
+    pair_vacuum_marginals,
     state_from_theta,
     symmetric_from_upper,
-    takagi_batch,
-    vacuum_marginals,
 )
 from .problems import brute_force_solve, expected_energy_exact
 from .torontonian import (
@@ -196,21 +195,21 @@ def cvar_exact(qubo, dist, alpha):
     return acc / alpha
 
 
-def _energies_from_sigmas(sigmas, qubo):
-    """<Q> for a stack of covariances by inclusion-exclusion on vacuum marginals:
+def _energies_from_blocks(blocks, qubo):
+    """<Q> for covariance blocks stacked as (2, ..., N, N), by inclusion-exclusion
+    on vacuum marginals:
 
       <P1_i>      = 1 - pv(i)
       <P1_i P1_j> = 1 - pv(i) - pv(j) + pv(ij)
 
-    so the whole expectation costs O(N^2) small determinants per state.
+    so the whole expectation costs the O(N^2) closed-form 1 x 1 and 2 x 2
+    minors of P and Q per state.
     """
-    n = qubo.n
-    ii, jj = np.triu_indices(n, 1)  # pairs i < j in row-major order
-    pv1 = vacuum_marginals(sigmas, np.arange(n)[:, np.newaxis])
+    ii, jj = np.triu_indices(qubo.n, 1)  # pairs i < j in row-major order
+    pv1, pv2 = pair_vacuum_marginals(blocks)
     diag = np.diag(qubo.q)
     out = pv1 @ (-diag) + diag.sum()
     if ii.size:
-        pv2 = vacuum_marginals(sigmas, np.stack([ii, jj], axis=-1))
         joint = 1.0 - pv1[..., ii] - pv1[..., jj] + pv2
         out = out + joint @ (2.0 * qubo.q[ii, jj])
     return out + qubo.offset
@@ -218,19 +217,19 @@ def _energies_from_sigmas(sigmas, qubo):
 
 def _analytic_energies(thetas, qubo):
     """Batched <Q> for a (B, N, N) stack of parameter matrices."""
-    return _energies_from_sigmas(husimi_sigmas(*takagi_batch(thetas)), qubo)
+    return _energies_from_blocks(covariance_blocks(thetas), qubo)
 
 
 def expected_energy_analytic(qubo, state):
     """Closed-form <Q> in a Gaussian state (the alpha = 1 cost).
 
     Agrees with the enumeration expectation to 1e-8 but needs only one-
-    and two-mode vacuum marginals, i.e. determinants of at most 4 x 4
-    submatrices of the covariance.
+    and two-mode vacuum marginals, i.e. the 1 x 1 and 2 x 2 principal
+    minors of P and Q.
     """
     if state.n_modes != qubo.n:
         raise ValueError("state and QUBO dimensions differ")
-    return float(_energies_from_sigmas(state.sigma, qubo))
+    return float(_energies_from_blocks(state.blocks, qubo))
 
 
 class _EvalBudget(Exception):

@@ -1,17 +1,30 @@
 """Exact threshold-detector statistics for Gaussian states.
 
-The probability of a click pattern with clicked-mode set S is
+Every probability here is an inclusion-exclusion sum of vacuum marginals
 
-    p(S) = Tor(O_S) / sqrt(det Sigma),
+    f(W) = P(no photon on any mode of W) = 1 / sqrt(det P_W det Q_W),
 
-where O = I - inv(Sigma), O_S keeps rows/columns {i, i+N : i in S}, and
-the Torontonian is the subset inclusion-exclusion sum
+with f(empty set) = 1 (Quesada, Arrazola & Killoran, "Gaussian boson
+sampling using threshold detectors", PRA 98, 062322 (2018), in the real
+form of :mod:`gbsopt.gaussian`).  The probability that the modes of D stay
+dark and every mode of S clicks, whatever the other modes do, is
 
-    Tor(A) = sum over Z subsets of [n] of (-1)^(n-|Z|) / sqrt(det(I - A_Z)),
+    sum over Z subsets of S of (-1)^|Z| f(D + Z):
 
-with the empty set contributing (-1)^n.  Everything here is exact up to
-floating point; the cost is exponential in the number of clicked modes,
-which is the intended desk-scale regime.
+a click pattern has D and S covering all modes, a prefix marginal of the
+sampler covers a prefix.  Every f comes from the one kernel
+``gaussian.subset_determinants``; the cost is exponential in the number
+of clicked modes, which is the intended desk-scale regime.  (The
+Torontonian of the 2N x 2N matrix O = I - inv(Sigma) is the same law
+written without the real form; ``tests/oracles.py`` keeps it as a
+reference.)
+
+Accuracy: every probability is within 1.3e-15 of a 40-digit evaluation
+for random theta up to spectral radius 6, and within 1.2e-14 where one
+mode is squeezed to r = 5.5; see :func:`full_distribution`.  Memory: a
+pattern probability or prefix marginal with k clicks holds a table of
+2^k marginals; :func:`full_distribution` holds tables of 2^N floats and
+one kernel batch of at most ``gaussian.BATCH_BYTES``.
 
 Pattern indexing convention: bit i of an integer pattern index is the
 outcome of mode i (index = sum_i d_i * 2^i).
@@ -24,10 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvalidStateError
-from .gaussian import GaussianState, reduced_state
+from .gaussian import GaussianState, subset_determinants
 
 __all__ = [
-    "torontonian",
     "pattern_probability",
     "PatternDistribution",
     "full_distribution",
@@ -45,13 +57,6 @@ ENUMERATION_CAP = 16
 NEGATIVE_CLAMP = 1e-12
 
 NORMALIZATION_TOL = 1e-9
-
-#: max-abs asymmetry tolerated in an O-submatrix, whose entries lie in
-#: [-1, 1] when it is valid, so the tolerance is absolute
-HERMITIAN_TOL = 1e-10
-
-#: upper bound on the gathered submatrices of one batch (1 MiB of float64)
-BATCH_BYTES = 1 << 20
 
 
 def pattern_index(pattern):
@@ -74,14 +79,20 @@ def all_patterns(n_modes):
     return ((idx[:, None] >> np.arange(n_modes)[None, :]) & 1).astype(np.int8)
 
 
+def _checked_pattern(pattern, n_modes):
+    pattern = np.asarray(pattern)
+    if pattern.shape != (n_modes,):
+        raise ValueError(f"pattern length {pattern.shape} does not match {n_modes} modes")
+    return pattern
+
+
 @functools.lru_cache(maxsize=None)
 def _subset_levels(n):
-    """Subsets of [n] grouped by size k = 1..n, as (masks, ix) pairs.
+    """Subsets of [n] grouped by size k = 1..n, as (masks, modes) pairs.
 
     ``masks`` holds the bitmasks of size k in ascending order; row r of
-    ``ix`` lists the rows/columns {i, i + n : i in masks[r]} that the
-    subset keeps of a 2n x 2n matrix.  uint8 keeps the cache small; the
-    arrays are read-only, since every caller shares them.
+    ``modes`` lists the k modes of masks[r].  uint8 keeps the cache small;
+    the arrays are read-only, since every caller shares them.
     """
     masks = np.arange(1 << n)
     bits = (masks[:, None] >> np.arange(n)) & 1
@@ -89,76 +100,44 @@ def _subset_levels(n):
     levels = []
     for k in range(1, n + 1):
         level = masks[sizes == k]
-        idx = np.nonzero(bits[level])[1].reshape(level.size, k)
-        ix = np.concatenate([idx, idx + n], axis=1).astype(np.uint8)
+        modes = np.nonzero(bits[level])[1].reshape(level.size, k).astype(np.uint8)
         level.setflags(write=False)
-        ix.setflags(write=False)
-        levels.append((level, ix))
+        modes.setflags(write=False)
+        levels.append((level, modes))
     return tuple(levels)
 
 
-def _subset_determinants(a, n):
-    """det(I - A_Z) for every Z subset of [n], indexed by bitmask.
+def _vacuum_table(state, dark, free):
+    """f(dark + Z) for every Z subset of ``free``, indexed by Z's bitmask.
 
-    I - A_Z is a principal submatrix of inv(Sigma) for any O-submatrix A
-    of a valid Gaussian state, so it is Hermitian positive definite: the
-    determinant is the squared product of its Cholesky diagonal.  Subsets
-    are processed by size, in batches of at most BATCH_BYTES of gathered
-    submatrices.  A real A (any state built from a real theta) is handled
-    in float64.  Input that is not Hermitian, or not positive definite on
-    some subset, raises InvalidStateError.
+    Bit i of the index selects free[i].  The subsets go to the kernel one
+    size at a time, each row being the dark modes followed by Z.
     """
-    if not a.imag.any():
-        a = a.real
-    asym = a - a.T.conj()
-    defect = np.abs(asym).max()
-    if defect > HERMITIAN_TOL:
-        raise InvalidStateError(
-            f"matrix is not Hermitian (defect {defect:.2e}); "
-            "input is not a valid O-submatrix"
-        )
-    # Cholesky reads one triangle only; at high squeezing the roundoff
-    # asymmetry of inv(Sigma), read from one side, moves small
-    # determinants by a relative 1e-8, so both triangles are averaged
-    m = np.eye(2 * n) - (a - 0.5 * asym)
-    dets = np.empty(1 << n)
-    dets[0] = 1.0
-    for level, ix in _subset_levels(n):
-        width = ix.shape[1]
-        batch = max(1, BATCH_BYTES // (m.itemsize * width * width))
-        for start in range(0, level.size, batch):
-            rows = ix[start : start + batch]
-            try:
-                chol = np.linalg.cholesky(m[rows[:, :, None], rows[:, None, :]])
-            except np.linalg.LinAlgError as exc:
-                raise InvalidStateError(
-                    "a subset determinant is not real positive; "
-                    "input is not a valid O-submatrix"
-                ) from exc
-            diag = np.diagonal(chol, axis1=1, axis2=2).real
-            dets[level[start : start + batch]] = np.prod(diag, axis=1) ** 2
-    return dets
+    dark = np.asarray(dark, dtype=np.uint8)
+    free = np.asarray(free, dtype=np.uint8)
+    table = np.ones(1 << free.size)
+    if dark.size:
+        table[0] = 1.0 / np.sqrt(subset_determinants(state.blocks, dark[np.newaxis])[0])
+    for masks, modes in _subset_levels(free.size):
+        rows = free[modes]
+        if dark.size:
+            rows = np.hstack([np.broadcast_to(dark, (len(rows), dark.size)), rows])
+        table[masks] = 1.0 / np.sqrt(subset_determinants(state.blocks, rows))
+    return table
 
 
-def torontonian(a):
-    """Torontonian of a 2n x 2n matrix by direct inclusion-exclusion.
+def _click_probability(state, pattern):
+    """P(the first len(pattern) modes show the 0/1 ``pattern``), other modes unconstrained.
 
-    The alternating sum cancels severely, so the terms are accumulated
-    with compensated summation.  n = 0 returns 1.
+    The inclusion-exclusion sum cancels severely, so its terms are
+    accumulated with compensated summation, then clamped at zero.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2:
-        raise ValueError(f"expected a 2n x 2n matrix, got shape {a.shape}")
-    n = a.shape[0] // 2
-    if n == 0:
-        return 1.0
-    terms = 1.0 / np.sqrt(_subset_determinants(a, n))
-    for k, (level, _) in enumerate(_subset_levels(n), 1):
-        if (n - k) % 2:
-            terms[level] *= -1.0
-    if n % 2:
-        terms[0] = -terms[0]
-    return math.fsum(terms.tolist())
+    clicked = np.flatnonzero(pattern)
+    terms = _vacuum_table(state, np.flatnonzero(pattern == 0), clicked)
+    for k, (masks, _) in enumerate(_subset_levels(len(clicked)), 1):
+        if k % 2:
+            terms[masks] *= -1.0
+    return _clamped_probability(math.fsum(terms.tolist()), "click probability")
 
 
 def _clamped_probability(value, context):
@@ -170,17 +149,10 @@ def _clamped_probability(value, context):
 def pattern_probability(state: GaussianState, pattern):
     """Exact probability of one click pattern.
 
-    The all-zeros pattern costs a single determinant; a pattern with k
-    clicks costs 2^k subset determinants.
+    A pattern with k clicks costs 2^k subset determinants, of sizes N - k
+    to N; the all-zeros pattern costs one.
     """
-    pattern = np.asarray(pattern)
-    n = state.n_modes
-    if pattern.shape != (n,):
-        raise ValueError(f"pattern length {pattern.shape} does not match {n} modes")
-    clicked = [i for i in range(n) if pattern[i]]
-    ix = clicked + [i + n for i in clicked]
-    tor = torontonian(state.o_matrix[np.ix_(ix, ix)])
-    return _clamped_probability(tor / state.sqrt_det_sigma, "pattern probability")
+    return _click_probability(state, _checked_pattern(pattern, state.n_modes))
 
 
 @dataclass(frozen=True)
@@ -199,28 +171,34 @@ class PatternDistribution:
         object.__setattr__(self, "probs", probs)
 
     def probability(self, pattern):
-        return float(self.probs[pattern_index(pattern)])
+        return float(self.probs[pattern_index(_checked_pattern(pattern, self.n_modes))])
 
 
 def full_distribution(state: GaussianState):
     """Exact distribution over all 2^N patterns.
 
-    All 2^N subset determinants are computed once and the pattern
-    probabilities recovered simultaneously with an in-place subset-lattice
-    difference transform (equivalent to evaluating the inclusion-exclusion
-    sum for every pattern, at O(N 2^N) arithmetic instead of O(3^N)).
+    The vacuum marginals f(W) of all 2^N mode subsets are computed once;
+    an in-place superset Moebius transform turns f(W) into the
+    probability that exactly the modes of W stay dark, which is the
+    pattern whose index is the complement of W (O(N 2^N) arithmetic
+    instead of the O(3^N) of one inclusion-exclusion sum per pattern).
     Normalization is checked to 1e-9.
 
     Accuracy, against a 40-digit mpmath evaluation of the same law at
-    N = 6: the absolute error of every probability is at most 5e-15 for
-    random theta rescaled to a spectral radius (largest squeezing) of up
-    to 4, and at most 1e-11 (2e-12 seen) when every mode is squeezed near
-    r = 5.  Relative errors on the smallest probabilities are far larger.
+    N = 6 (``pattern_probability`` does as well): the absolute error of
+    every probability was at most 1.3e-15 for random theta rescaled to a
+    spectral radius (largest squeezing) of 1 to 6, 1.1e-16 with every
+    mode squeezed near r = 5, and up to 1.2e-14 at the ADAM alpha = 1
+    endpoints of the record gate, where one eigenvalue of theta sits near
+    +-5.5 and the rest below 1.3.  The tests hold it to 5e-15 up to
+    radius 4 and to 1e-14 at r = 5 and radius 5.5.  Relative errors on
+    the smallest probabilities are far larger.
 
-    Memory: besides a few tables of 2^N floats, the kernel holds one batch
-    of gathered submatrices, at most BATCH_BYTES (1 MiB), and its Cholesky
-    factors at a time, whatever the size of the largest level (C(16, 8)
-    subsets at N = 16).
+    Memory: besides two tables of 2^N floats (the marginals, transformed
+    in place, and the returned copy) and the cached subset index (1 MiB
+    at N = 16), the kernel holds one batch of gathered submatrices, at
+    most BATCH_BYTES (1 MiB), and its Cholesky factors at a time, whatever
+    the size of the largest level (C(16, 8) subsets at N = 16).
     """
     n = state.n_modes
     if n > ENUMERATION_CAP:
@@ -228,12 +206,12 @@ def full_distribution(state: GaussianState):
             f"{n} modes exceed the enumeration cap {ENUMERATION_CAP}; "
             "use sample() instead"
         )
-    tor = 1.0 / np.sqrt(_subset_determinants(state.o_matrix, n))
+    table = _vacuum_table(state, [], np.arange(n))
     for i in range(n):
-        # patterns with bit i set minus their partners without it, in place
-        pairs = tor.reshape(-1, 2, 1 << i)
-        pairs[:, 1] -= pairs[:, 0]
-    probs = tor / state.sqrt_det_sigma
+        # subsets without bit i minus their partners with it, in place
+        pairs = table.reshape(-1, 2, 1 << i)
+        pairs[:, 0] -= pairs[:, 1]
+    probs = table[::-1]  # the pattern of index x leaves dark the set (2^N - 1) ^ x
     if probs.min() < -NEGATIVE_CLAMP:
         raise InvalidStateError(
             f"pattern probability {probs.min()} negative beyond roundoff"
@@ -249,22 +227,20 @@ class _PrefixMarginals:
     """Threshold-pattern marginals on mode prefixes, memoized.
 
     m(j, clicks) is the probability of observing the click subset
-    ``clicks`` on modes 0..j-1 irrespective of the remaining modes: the
-    pattern probability of the reduced state on the prefix.
+    ``clicks`` on modes 0..j-1 irrespective of the remaining modes.  The
+    marginal of a reduced state equals the full state's, so it is taken
+    on the full state.
     """
 
     def __init__(self, state: GaussianState):
-        n = state.n_modes
-        self._prefix = [reduced_state(state, np.arange(j)) for j in range(1, n + 1)]
+        self._state = state
         self._memo = {}
 
     def __call__(self, j, clicks):
-        if j == 0:
-            return 1.0
         key = (j, clicks)
         value = self._memo.get(key)
         if value is None:
-            value = pattern_probability(self._prefix[j - 1], index_to_pattern(clicks, j))
+            value = _click_probability(self._state, index_to_pattern(clicks, j))
             self._memo[key] = value
         return value
 
@@ -273,9 +249,11 @@ def sample(state: GaussianState, k, seed):
     """Draw k i.i.d. click patterns, exactly, via the mode-by-mode chain rule.
 
     For each mode j the no-click probability conditioned on the outcomes
-    so far is the ratio of two prefix marginals; marginals are memoized
-    across samples.  Deterministic for a given seed.  Returns a (k, N)
-    0/1 array, one pattern per row.
+    so far is the ratio of two prefix marginals, the one with mode j dark
+    over the one without mode j; the marginal with mode j clicked is
+    their difference.  Marginals are memoized across samples.
+    Deterministic for a given seed.  Returns a (k, N) 0/1 array, one
+    pattern per row.
     """
     if k < 1:
         raise ValueError("sample count must be >= 1")
@@ -300,7 +278,8 @@ def sample(state: GaussianState, k, seed):
             if uniforms[s, j - 1] < p_no_click:
                 prev = m0
             else:
+                # inclusion-exclusion on mode j - 1: clicked = unobserved - dark
                 clicks |= 1 << (j - 1)
                 out[s, j - 1] = 1
-                prev = marginal(j, clicks)
+                prev = max(prev - m0, 0.0)
     return out

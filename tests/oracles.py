@@ -1,14 +1,16 @@
 """Independent ground-truth oracles used by the test suite.
 
-Nothing here touches covariance matrices, Torontonians, or the package's
-QUBO assembly: the Fock oracle expands the squeezed state in the photon
-number basis, the QUBO helpers re-derive energies from the raw objective,
-and the second enumerator is a deliberately naive re-implementation.  The
-subset determinants are computed one LU determinant at a time, and the
-mpmath reference redoes the whole probability law at 40 digits.
+Nothing here uses the package: the Fock oracle expands the squeezed state
+in the photon number basis, the QUBO helpers re-derive energies from the
+raw objective, and the second enumerator is a deliberately naive
+re-implementation.  The covariance references work on the 2N x 2N Husimi
+covariance, not on the package's real N x N blocks: subset determinants
+one LU determinant at a time, the Torontonian of O = I - inv(Sigma), and
+the mpmath reference, which redoes the whole probability law at 40 digits.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -148,6 +150,42 @@ def naive_subset_determinants(a, n):
             raise ValueError(f"subset determinant {det} is not real positive")
         dets[mask] = det.real
     return dets
+
+
+def husimi_sigma(theta):
+    """Real 2N x 2N Husimi covariance of the state of a real symmetric theta.
+
+    Sigma = ([[cosh 2theta, sinh 2theta], [sinh 2theta, cosh 2theta]] + I) / 2,
+    in the (a, a^dag) mode ordering, with the matrix functions taken
+    through the eigendecomposition of theta.
+    """
+    lam, vec = np.linalg.eigh(np.asarray(theta, dtype=float))
+    ch = (vec * np.cosh(2.0 * lam)) @ vec.T
+    sh = (vec * np.sinh(2.0 * lam)) @ vec.T
+    return 0.5 * np.block([[ch, sh], [sh, ch]]) + 0.5 * np.eye(2 * len(lam))
+
+
+def o_matrix(sigma):
+    """O = I - inv(Sigma), the matrix whose Torontonians give click probabilities."""
+    return np.eye(sigma.shape[0]) - np.linalg.inv(sigma)
+
+
+def torontonian(a):
+    """Torontonian of a 2n x 2n matrix by direct inclusion-exclusion.
+
+    Tor(A) = sum over Z subsets of [n] of (-1)^(n-|Z|) / sqrt(det(I - A_Z)),
+    with A_Z keeping rows/columns {i, i + n : i in Z}; the pattern that
+    clicks on exactly the modes S has probability Tor(O_S) / sqrt(det Sigma).
+    Terms are summed with compensated summation; n = 0 returns 1.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2:
+        raise ValueError(f"expected a 2n x 2n matrix, got shape {a.shape}")
+    n = a.shape[0] // 2
+    dets = naive_subset_determinants(a, n)
+    return math.fsum(
+        (-1) ** (n - bin(mask).count("1")) / math.sqrt(dets[mask]) for mask in range(1 << n)
+    )
 
 
 def mpmath_pattern_probabilities(theta, dps=40):

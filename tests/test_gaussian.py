@@ -3,18 +3,24 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import expm
+
 from gbsopt import (
+    GaussianState,
     InvalidStateError,
+    QuboProblem,
     TakagiFactors,
     ThetaMatrix,
-    build_state,
+    expected_energy_analytic,
+    full_distribution,
+    sample,
     state_from_theta,
     takagi_decompose,
     vacuum_marginal,
 )
 from gbsopt.torontonian import all_patterns, pattern_probability
 
-from oracles import bounded_random_theta
+from oracles import bounded_random_theta, husimi_sigma
 
 
 class TestThetaMatrix:
@@ -83,35 +89,34 @@ class TestTakagi:
 
 
 class TestBuildState:
+    """The real form P = (I + e^{2 theta}) / 2, Q = (I + e^{-2 theta}) / 2 of state_from_theta."""
+
     def test_vacuum(self):
-        factors = takagi_decompose(ThetaMatrix(np.zeros((3, 3))))
-        state = build_state(factors)
+        state = state_from_theta(ThetaMatrix(np.zeros((3, 3))))
+        assert np.abs(state.p - np.eye(3)).max() < 1e-12
+        assert np.abs(state.q - np.eye(3)).max() < 1e-12
         assert np.abs(state.sigma - np.eye(6)).max() < 1e-12
-        assert np.abs(state.o_matrix).max() < 1e-12
-        assert state.sqrt_det_sigma == pytest.approx(1.0, abs=1e-12)
 
     def test_single_mode_closed_form(self):
         r = 1.0
         state = state_from_theta(ThetaMatrix(np.array([[r]])))
+        assert state.p[0, 0] == pytest.approx((1 + np.exp(2 * r)) / 2, rel=1e-12)
+        assert state.q[0, 0] == pytest.approx((1 + np.exp(-2 * r)) / 2, rel=1e-12)
         c, s = np.cosh(r), np.sinh(r)
         assert np.abs(state.sigma - np.array([[c * c, s * c], [s * c, c * c]])).max() < 1e-12
-        t = np.tanh(r)
-        assert np.abs(state.o_matrix - np.array([[0.0, t], [t, 0.0]])).max() < 1e-12
-        assert state.sqrt_det_sigma == pytest.approx(np.cosh(r), rel=1e-12)
 
     def test_pure_state_block_structure(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             n = int(rng.integers(2, 7))
-            theta = ThetaMatrix(bounded_random_theta(rng, n, spectral_radius=1.5))
-            factors = takagi_decompose(theta)
-            state = build_state(factors)
-            o = state.o_matrix
-            b = factors.unitary @ np.diag(np.tanh(factors.squeezings)) @ factors.unitary.T
-            assert np.abs(o[:n, :n]).max() < 1e-8
-            assert np.abs(o[n:, n:]).max() < 1e-8
-            assert np.abs(o[:n, n:] - b).max() < 1e-8
-            assert np.abs(o[n:, :n] - b.conj()).max() < 1e-8
+            theta = bounded_random_theta(rng, n, spectral_radius=1.5)
+            state = state_from_theta(ThetaMatrix(theta))
+            assert np.abs(state.p - (np.eye(n) + expm(2 * theta)) / 2).max() < 1e-10
+            assert np.abs(state.q - (np.eye(n) + expm(-2 * theta)) / 2).max() < 1e-10
+            # a pure state: (2P - I)(2Q - I) = e^{2 theta} e^{-2 theta} = I
+            purity = (2 * state.p - np.eye(n)) @ (2 * state.q - np.eye(n))
+            assert np.abs(purity - np.eye(n)).max() < 1e-10
+            assert np.abs(state.sigma - husimi_sigma(theta)).max() < 1e-10
 
     def test_det_sigma_is_product_of_cosh_squared(self):
         rng = np.random.default_rng(17)
@@ -119,18 +124,26 @@ class TestBuildState:
             n = int(rng.integers(1, 7))
             theta = ThetaMatrix(bounded_random_theta(rng, n, spectral_radius=2.0))
             factors = takagi_decompose(theta)
-            state = build_state(factors)
-            expected = float(np.prod(np.cosh(factors.squeezings)))
-            assert state.sqrt_det_sigma == pytest.approx(expected, rel=1e-9)
+            state = state_from_theta(theta)
+            expected = float(np.prod(np.cosh(factors.squeezings)) ** 2)
+            det_pq = np.linalg.det(state.p) * np.linalg.det(state.q)
+            assert det_pq == pytest.approx(expected, rel=1e-9)
+            assert np.linalg.det(state.sigma) == pytest.approx(expected, rel=1e-9)
 
     def test_husimi_positivity(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             theta = ThetaMatrix(bounded_random_theta(rng, 5, spectral_radius=2.0))
             state = state_from_theta(theta)
-            eigs = np.linalg.eigvalsh(state.sigma)
-            assert eigs.min() > 0.5 - 1e-10
-            assert np.abs(state.sigma - state.sigma.conj().T).max() < 1e-10
+            for block in (state.p, state.q, state.sigma):
+                assert np.array_equal(block, block.T)
+                assert np.linalg.eigvalsh(block).min() > 0.5 - 1e-10
+
+    def test_rejects_malformed_blocks(self):
+        with pytest.raises(InvalidStateError, match="shape"):
+            GaussianState(np.eye(2))
+        with pytest.raises(InvalidStateError, match="finite"):
+            GaussianState(np.array([[[np.nan]], [[1.0]]]))
 
 
 class TestVacuumMarginal:
@@ -171,15 +184,18 @@ class TestVacuumMarginal:
             vacuum_marginal(state, [5])
 
     def test_corrupted_state_raises(self):
-        # det of the kept 2x2 block is 1 - 4 < 0: must be flagged
-        bad = GaussianStub(sigma=np.array([[1.0, 2.0], [2.0, 1.0]]), n_modes=1)
-        with pytest.raises(InvalidStateError):
-            vacuum_marginal(bad, [0])
-
-
-class GaussianStub:
-    """Minimal stand-in used to feed corrupted covariances to validators."""
-
-    def __init__(self, sigma, n_modes):
-        self.sigma = sigma
-        self.n_modes = n_modes
+        # P is symmetric with unit diagonal but eigenvalues 1 +- 2: every
+        # route that reaches the two-mode minor must flag it
+        p = np.array([[1.0, 2.0], [2.0, 1.0]])
+        bad = GaussianState(np.stack([p, np.eye(2)]))
+        with pytest.raises(InvalidStateError, match="positive definite"):
+            vacuum_marginal(bad, [0, 1])
+        with pytest.raises(InvalidStateError, match="positive definite"):
+            pattern_probability(bad, [1, 0])
+        with pytest.raises(InvalidStateError, match="positive definite"):
+            full_distribution(bad)
+        with pytest.raises(InvalidStateError, match="positive definite"):
+            sample(bad, 10, seed=1)
+        # the closed-form <Q> reads the same two-mode minor
+        with pytest.raises(InvalidStateError, match="minor"):
+            expected_energy_analytic(QuboProblem(q=np.eye(2), offset=0.0), bad)

@@ -19,22 +19,24 @@ from gbsopt import (
     sample,
     state_from_theta,
 )
-from gbsopt.gaussian import TakagiFactors, build_state, takagi_decompose, vacuum_marginal
-from gbsopt.torontonian import (
+from gbsopt.gaussian import (
     BATCH_BYTES,
-    PatternDistribution,
-    _subset_determinants,
-    all_patterns,
-    pattern_index,
-    torontonian,
+    GaussianState,
+    subset_determinants,
+    takagi_decompose,
+    vacuum_marginal,
 )
+from gbsopt.torontonian import PatternDistribution, all_patterns, pattern_index
 
 from oracles import (
     bounded_random_theta,
     fock_state_amplitudes,
     fock_threshold_probabilities,
+    husimi_sigma,
     mpmath_pattern_probabilities,
     naive_subset_determinants,
+    o_matrix,
+    torontonian,
 )
 
 
@@ -42,13 +44,26 @@ def random_state(rng, n, spectral_radius=1.0):
     return state_from_theta(ThetaMatrix(bounded_random_theta(rng, n, spectral_radius)))
 
 
-def complex_state(rng, n, max_squeezing):
-    """State of squeezed vacua through a random complex unitary; its O is complex."""
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    unitary = q * (np.diag(r) / np.abs(np.diag(r)))
-    squeezings = rng.uniform(0.0, max_squeezing, n)
-    return build_state(TakagiFactors(unitary=unitary, squeezings=squeezings))
+def all_subset_determinants(state):
+    """det P_W det Q_W for every W subset of the modes, indexed by bitmask."""
+    n = state.n_modes
+    masks = np.arange(1, 1 << n)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    dets = np.ones(1 << n)
+    for k in range(1, n + 1):
+        level = masks[bits.sum(axis=1) == k]
+        rows = np.nonzero(bits[level - 1])[1].reshape(level.size, k)
+        dets[level] = subset_determinants(state.blocks, rows)
+    return dets
+
+
+def every_mode_near_five(seed):
+    """A 6-mode theta whose six squeezings all lie in [4, 5]."""
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    lam = 5.0 * rng.choice([-1, 1], 6) * rng.uniform(0.8, 1.0, 6)
+    theta = (v * lam) @ v.T
+    return (theta + theta.T) / 2.0
 
 
 def test_package_attribute_is_the_module():
@@ -57,6 +72,8 @@ def test_package_attribute_is_the_module():
 
 
 class TestTorontonian:
+    """The 2n x 2n Torontonian law of tests/oracles.py."""
+
     def test_zero_matrix_single_mode(self):
         assert torontonian(np.zeros((2, 2))) == pytest.approx(0.0, abs=1e-14)
 
@@ -72,11 +89,11 @@ class TestTorontonian:
         rng = np.random.default_rng(31)
         theta = ThetaMatrix(bounded_random_theta(rng, 2))
         factors = takagi_decompose(theta)
-        state = state_from_theta(theta)
+        sigma = husimi_sigma(theta.entries)
         psi = fock_state_amplitudes(factors.unitary, factors.squeezings)
         p_both = fock_threshold_probabilities(psi)[(1, 1)]
-        tor = torontonian(state.o_matrix)
-        assert tor == pytest.approx(p_both * state.sqrt_det_sigma, abs=1e-8)
+        tor = torontonian(o_matrix(sigma))
+        assert tor == pytest.approx(p_both * np.sqrt(np.linalg.det(sigma)), abs=1e-8)
 
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError, match="2n x 2n"):
@@ -85,41 +102,47 @@ class TestTorontonian:
     def test_rejects_invalid_submatrix(self):
         # determinant of I - A goes negative for entries beyond tanh range
         a = np.array([[0.0, 2.0], [2.0, 0.0]])
-        with pytest.raises(InvalidStateError, match="not real positive"):
+        with pytest.raises(ValueError, match="not real positive"):
             torontonian(a)
 
 
 class TestSubsetDeterminants:
     @pytest.mark.parametrize("n", [1, 2, 4, 7, 10, 12])
+    def test_matches_naive_loop_on_2n_form(self, n):
+        # det(I - A_Z) with A = I - Sigma is det Sigma_Z, one LU per subset
+        rng = np.random.default_rng(300 + n)
+        for radius in (0.5, 1.0, 2.0, 4.0):
+            theta = bounded_random_theta(rng, n, radius)
+            got = all_subset_determinants(state_from_theta(ThetaMatrix(theta)))
+            want = naive_subset_determinants(np.eye(2 * n) - husimi_sigma(theta), n)
+            assert np.abs(got / want - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 10, 12])
     def test_real_o_matches_naive_loop(self, n):
+        # Jacobi: det(I - O_Z) = det inv(Sigma)_Z = det Sigma_{W} / det Sigma,
+        # with W the complement of Z
         rng = np.random.default_rng(100 + n)
         for radius in (0.5, 1.0, 2.0, 4.0):
-            o = random_state(rng, n, radius).o_matrix
-            assert not o.imag.any()
-            got = _subset_determinants(o, n)
-            assert np.abs(got - naive_subset_determinants(o, n)).max() <= 1e-12
-
-    @pytest.mark.parametrize("n", [1, 3, 6, 9, 12])
-    def test_complex_o_matches_naive_loop(self, n):
-        rng = np.random.default_rng(200 + n)
-        for max_squeezing in (1.0, 4.0):
-            o = complex_state(rng, n, max_squeezing).o_matrix
-            assert np.abs(o.imag).max() > 1e-3
-            got = _subset_determinants(o, n)
-            assert np.abs(got - naive_subset_determinants(o, n)).max() <= 1e-12
+            theta = bounded_random_theta(rng, n, radius)
+            dets = all_subset_determinants(state_from_theta(ThetaMatrix(theta)))
+            want = naive_subset_determinants(o_matrix(husimi_sigma(theta)), n)
+            assert np.abs(dets[::-1] / dets[-1] - want).max() <= 1e-12
 
     def test_rejects_non_hermitian(self):
-        a = np.array([[0.0, 0.5], [0.1, 0.0]])
-        with pytest.raises(InvalidStateError, match="not Hermitian"):
-            torontonian(a)
+        p = np.array([[1.0, 0.5], [0.1, 1.0]])
+        with pytest.raises(InvalidStateError, match="not symmetric"):
+            GaussianState(np.stack([p, np.eye(2)]))
 
     def test_rejects_hermitian_not_positive_definite(self):
-        # every one-mode block of I - A is the identity, but the two-mode
-        # matrix has eigenvalues 1 +- 2
-        m = np.eye(4)
-        m[0, 3] = m[3, 0] = m[1, 2] = m[2, 1] = 2.0
-        with pytest.raises(InvalidStateError, match="not real positive"):
-            torontonian(np.eye(4) - m)
+        # every one-mode block is the identity, but the two-mode block of
+        # Q has eigenvalues 1 +- 2
+        q = np.eye(3)
+        q[0, 2] = q[2, 0] = 2.0
+        state = GaussianState(np.stack([np.eye(3), q]))
+        assert subset_determinants(state.blocks, [[0], [1], [2]]).tolist() == [1, 1, 1]
+        assert subset_determinants(state.blocks, [[0, 1], [1, 2]]).tolist() == [1, 1]
+        with pytest.raises(InvalidStateError, match="not positive definite"):
+            subset_determinants(state.blocks, [[0, 1], [2, 0]])
 
     def test_memory_stays_within_batches_at_16_modes(self):
         state = random_state(np.random.default_rng(16), 16, 1.0)
@@ -149,16 +172,30 @@ class TestMpmathReference:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_every_mode_squeezed_near_five(self, seed):
-        # sqrt(det Sigma) ~ 2e10 here, so the roundoff asymmetry of
-        # inv(Sigma) matters: read from one triangle only, it moved these
-        # probabilities by 5e-10 to 8e-10
-        rng = np.random.default_rng(seed)
-        v, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        lam = 5.0 * rng.choice([-1, 1], 6) * rng.uniform(0.8, 1.0, 6)
-        theta = (v * lam) @ v.T
-        theta = (theta + theta.T) / 2.0
+        # sqrt(det Sigma) ~ 2e10 here
+        theta = every_mode_near_five(seed)
         probs = full_distribution(state_from_theta(ThetaMatrix(theta))).probs
         assert np.abs(probs - mpmath_pattern_probabilities(theta)).max() <= 1e-11
+
+    # every mode squeezed near r = 5, and a random theta at radius 5.5 (ADAM
+    # alpha = 1 runs end near there): both routes to a probability stay
+    # within 1e-14 of the 40-digit law
+    HIGH_SQUEEZING = [
+        every_mode_near_five(1),
+        every_mode_near_five(2),
+        bounded_random_theta(np.random.default_rng(55), 6, 5.5),
+    ]
+
+    def test_full_distribution_at_high_squeezing(self):
+        for theta in self.HIGH_SQUEEZING:
+            probs = full_distribution(state_from_theta(ThetaMatrix(theta))).probs
+            assert np.abs(probs - mpmath_pattern_probabilities(theta)).max() <= 1e-14
+
+    def test_pattern_probability_at_high_squeezing(self):
+        for theta in self.HIGH_SQUEEZING:
+            state = state_from_theta(ThetaMatrix(theta))
+            probs = [pattern_probability(state, p) for p in all_patterns(6)]
+            assert np.abs(probs - mpmath_pattern_probabilities(theta)).max() <= 1e-14
 
 
 class TestPatternProbability:
@@ -238,9 +275,9 @@ class TestFullDistribution:
         rng = np.random.default_rng(59)
         state = random_state(rng, 3)
         p_all = full_distribution(state).probability([1, 1, 1])
-        tor = torontonian(state.o_matrix)
+        tor = torontonian(o_matrix(state.sigma))
         assert tor >= 0.0
-        assert tor == pytest.approx(p_all * state.sqrt_det_sigma, rel=1e-9)
+        assert tor == pytest.approx(p_all * np.sqrt(np.linalg.det(state.sigma)), rel=1e-9)
 
     def test_permutation_covariance(self):
         rng = np.random.default_rng(61)
@@ -267,6 +304,13 @@ class TestFullDistribution:
     def test_distribution_validates_length(self):
         with pytest.raises(ValueError, match="length"):
             PatternDistribution(n_modes=2, probs=np.ones(3))
+
+    def test_probability_validates_pattern_length(self):
+        dist = full_distribution(state_from_theta(ThetaMatrix(np.diag([0.8, 0.3]))))
+        assert dist.probability([1, 0]) == dist.probs[1]
+        for pattern in ([1], [1, 0, 0]):
+            with pytest.raises(ValueError, match="length"):
+                dist.probability(pattern)
 
 
 @settings(max_examples=25, deadline=None)

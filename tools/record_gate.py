@@ -1,4 +1,4 @@
-"""Byte-identity gate for refactors: hashes of a fixed set of run records.
+"""Record gate for refactors: hashes of a fixed set of run records.
 
 Runs, in a temporary directory and with one worker each:
 
@@ -11,15 +11,26 @@ Runs, in a temporary directory and with one worker each:
 
 For each it prints one sha256 (its first 16 hex digits) per record block
 (``run``, ``config``, ``result``) over the records in file-name order,
-one for ``report.csv`` and one for the instance files.  Run it against
-two checkouts and compare the output lines:
+one for ``report.csv`` and one for the instance files:
 
     python tools/record_gate.py                      # this checkout's src/
     python tools/record_gate.py --src ../other/src   # another checkout
 
+``--against SRC`` runs the gate on both checkouts and prints, per sweep
+and block, ``same`` or ``differs`` with both hashes.  Where the
+``result`` blocks differ it also prints the largest |change| of
+``final_fidelity``, how many ``n_evals`` changed and every success
+decision that flipped: a refactor must keep everything the same, a
+numeric rewrite may move fidelities at roundoff.
+
+    python tools/record_gate.py --against ../parent/src
+
 ``--drop-config-key K`` (repeatable) deletes K from every ``config``
 block before hashing, so a change that removes config keys can be checked
 to keep everything else of that block.
+
+Each checkout runs in a fresh interpreter, so two versions of gbsopt
+never share a process.
 """
 
 import argparse
@@ -27,6 +38,7 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
 import sys
 import tempfile
 from pathlib import Path
@@ -41,6 +53,7 @@ SWEEPS = [
 ]
 SWEEP_BASE = {"sizes": [[2, 3]], "instances_per_size": 2, "restarts": 2,
               "thresholds": [0.1, 0.01]}
+CRITERION9 = "criterion9"
 
 
 def _sha(chunks):
@@ -68,52 +81,109 @@ def _files_hash(paths):
     return _sha(p.name.encode() + b"\0" + p.read_bytes() for p in sorted(paths))
 
 
-def gate(work, dropped):
+def _run_gate(src, work):
+    """Write the gate's sweeps and criterion 9 record under ``work``, using src's gbsopt."""
+    src, work = Path(src), Path(work)
+    sys.path.insert(0, str(src))
+    import gbsopt
     from gbsopt.cli import main
     from gbsopt.harness import ExperimentPlan, run_experiment
 
-    lines = []
+    if Path(gbsopt.__file__).resolve().parent != src / "gbsopt":
+        raise SystemExit(f"record_gate: imported gbsopt from {gbsopt.__file__}")
     for name, spec in SWEEPS:
-        out = work / name
-        run_experiment(ExperimentPlan.from_dict({**SWEEP_BASE, **spec}), out, workers=1)
-        records = [json.loads(p.read_text()) for p in sorted((out / "runs").glob("*.json"))]
-        hashes = _block_hashes(records, dropped)
-        hashes["report.csv"] = _sha([(out / "report.csv").read_bytes()])
-        hashes["instances"] = _files_hash((out / "instances").glob("*.json"))
-        lines += [f"{name} {key} {value}" for key, value in hashes.items()]
+        run_experiment(ExperimentPlan.from_dict({**SWEEP_BASE, **spec}), work / name, workers=1)
 
-    inst_dir = work / "criterion9"
+    inst_dir = work / CRITERION9
     with contextlib.redirect_stdout(io.StringIO()):
         if main(["generate", "--sizes", "2x3", "--instances", "2", "--base-seed", "99",
                  "--out", str(inst_dir)]) != 0:
             raise SystemExit("record_gate: gbsopt generate failed")
         instance = sorted(inst_dir.glob("*.json"))[0]
-        rec = work / "criterion9.record.json"
         if main(["train", str(instance), "--alpha", "0.1", "--seed", "17",
-                 "--out", str(rec)]) != 0:
+                 "--out", str(work / f"{CRITERION9}.record.json")]) != 0:
             raise SystemExit("record_gate: gbsopt train failed")
-    hashes = _block_hashes([json.loads(rec.read_text())], dropped)
-    hashes["instances"] = _files_hash(inst_dir.glob("*.json"))
-    lines += [f"criterion9 {key} {value}" for key, value in hashes.items()]
-    return lines
+
+
+def _gate_outputs(src, work):
+    """Run the gate in a fresh interpreter; per sweep, its records and files."""
+    ctx = multiprocessing.get_context("spawn")
+    proc = ctx.Process(target=_run_gate, args=(str(src), str(work)))
+    proc.start()
+    proc.join()
+    if proc.exitcode != 0:
+        raise SystemExit(f"record_gate: the gate failed on {src} (exit {proc.exitcode})")
+    outputs = {}
+    for name, _ in SWEEPS:
+        out = work / name
+        outputs[name] = {
+            "records": [json.loads(p.read_text()) for p in sorted((out / "runs").glob("*.json"))],
+            "report.csv": out / "report.csv",
+            "instances": list((out / "instances").glob("*.json")),
+        }
+    outputs[CRITERION9] = {
+        "records": [json.loads((work / f"{CRITERION9}.record.json").read_text())],
+        "instances": list((work / CRITERION9).glob("*.json")),
+    }
+    return outputs
+
+
+def _hashes(output, dropped):
+    hashes = _block_hashes(output["records"], dropped)
+    if "report.csv" in output:
+        hashes["report.csv"] = _sha([output["report.csv"].read_bytes()])
+    hashes["instances"] = _files_hash(output["instances"])
+    return hashes
+
+
+def _result_drift(records, others):
+    """Fidelity, evaluation-count and success-decision changes between paired records."""
+    if [r["run"] for r in records] != [r["run"] for r in others]:
+        return "(the run blocks differ, so records do not pair)"
+    pairs = [(a["result"], b["result"]) for a, b in zip(records, others)]
+    fidelity = max(abs(a["final_fidelity"] - b["final_fidelity"]) for a, b in pairs)
+    kept = [abs(a["final_fidelity"] - b["final_fidelity"])
+            for a, b in pairs if a["n_evals"] == b["n_evals"]]
+    evals = len(pairs) - len(kept)
+    flips = [f"{a['run'].get('instance_id')}/alpha={a['run'].get('alpha')}"
+             f"/restart={a['run'].get('restart')}@t={t}"
+             for a, b in zip(records, others)
+             for t, won in a["result"]["success"].items()
+             if b["result"]["success"].get(t) != won]
+    return (f"max|d final_fidelity| {fidelity:.1e} "
+            f"({max(kept, default=0.0):.1e} where n_evals is unchanged), "
+            f"n_evals changed {evals}/{len(records)}, "
+            f"success flips {len(flips)}" + (f": {' '.join(flips)}" if flips else ""))
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="directory holding the gbsopt package (default: ../src)")
+    parser.add_argument("--against", default=None,
+                        help="a second gbsopt source directory to compare with")
     parser.add_argument("--drop-config-key", action="append", default=[], dest="dropped",
                         help="config key to delete before hashing (repeatable)")
     args = parser.parse_args(argv)
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-    import gbsopt
-
-    if Path(gbsopt.__file__).resolve().parent != src / "gbsopt":
-        raise SystemExit(f"record_gate: imported gbsopt from {gbsopt.__file__}")
+    dropped = set(args.dropped)
     with tempfile.TemporaryDirectory() as tmp:
-        for line in gate(Path(tmp), set(args.dropped)):
-            print(line)
+        ours = _gate_outputs(Path(args.src).resolve(), Path(tmp) / "src")
+        if args.against is None:
+            for name, output in ours.items():
+                for key, value in _hashes(output, dropped).items():
+                    print(f"{name} {key} {value}")
+            return
+        theirs = _gate_outputs(Path(args.against).resolve(), Path(tmp) / "against")
+        for name, output in ours.items():
+            other = _hashes(theirs[name], dropped)
+            for key, value in _hashes(output, dropped).items():
+                if value == other[key]:
+                    print(f"{name} {key} same {value}")
+                    continue
+                line = f"{name} {key} differs {value} {other[key]}"
+                if key == "result":
+                    line += " " + _result_drift(output["records"], theirs[name]["records"])
+                print(line)
 
 
 if __name__ == "__main__":
