@@ -9,19 +9,19 @@ failed, 5 sweep finished with some failed runs.
 import argparse
 import json
 import sys
+import time
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .errors import CapacityError, GbsOptError, GenerationError, TrainingFailedError
 from .harness import (
+    DEFAULT_TRAIN_OVERRIDES,
     ExperimentPlan,
-    _config_dict,
-    _result_dict,
-    _run_info,
-    record_to_json,
+    RunTask,
     run_experiment,
     verify_report,
     write_instances,
+    write_record,
 )
 from .optim import DEFAULT_THRESHOLDS, TrainConfig, train
 from .problems import assemble_qubo, brute_force_solve, load_instance
@@ -94,7 +94,7 @@ def cmd_generate(args):
         sizes = _parse_sizes(sizes)
     plan = ExperimentPlan(sizes=sizes, instances_per_size=values["instances"],
                           base_seed=values["base_seed"])
-    for _, _, path in write_instances(plan, Path(args.out)):
+    for _, path in write_instances(plan, Path(args.out)).values():
         print(path)
     return EXIT_OK
 
@@ -126,17 +126,19 @@ def cmd_train(args):
     flag_values = {key: getattr(args, key) for key in _TRAIN_DEFAULTS}
     flag_values["thresholds"] = _parse_floats(args.thresholds) if args.thresholds else None
     values = _merged(_TRAIN_DEFAULTS, file_cfg, flag_values)
-    thresholds = tuple(values.pop("thresholds"))
+    try:
+        thresholds = tuple(float(t) for t in values.pop("thresholds"))
+    except TypeError as exc:
+        raise ValueError(f"thresholds must be a list of numbers: {exc}") from exc
 
     instance_path = Path(args.instance)
     instance = load_instance(instance_path.read_text())
-    cfg = TrainConfig(**values).resolved(instance.n_modes)
-    record = train(assemble_qubo(instance), cfg, thresholds)
-
-    run_info = _run_info(instance_path.stem, instance_path, instance, cfg.alpha, restart=0)
-    full = record_to_json(run_info, _config_dict(cfg, thresholds), _result_dict(record))
     out_path = Path(args.out) if args.out else instance_path.with_suffix(".record.json")
-    out_path.write_text(json.dumps(full, indent=1) + "\n")
+    task = RunTask(instance, instance_path.name,
+                   TrainConfig(**values).resolved(instance.n_modes), thresholds, out_path)
+    started = time.monotonic()
+    record = train(assemble_qubo(instance), task.cfg, thresholds)
+    write_record(task, record, time.monotonic() - started)
     print(
         f"{out_path}: fidelity {record.final_fidelity:.6f} "
         f"after {record.n_evals} evaluations"
@@ -156,7 +158,7 @@ def cmd_experiment(args):
     }
     merged = _merged({}, plan_dict, flag_values)
     train_overrides = dict(merged.get("train", {}))
-    for key in ("shots_k", "max_evals", "adam_steps", "max_seconds", "optimizer"):
+    for key in DEFAULT_TRAIN_OVERRIDES:
         if getattr(args, key) is not None:
             train_overrides[key] = getattr(args, key)
     if train_overrides:
@@ -186,6 +188,18 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
+def _add_train_flags(parser, optimizers):
+    """The flags of the plan's train overrides, shared by train and experiment."""
+    parser.add_argument(
+        "--shots", type=int, dest="shots_k",
+        help="shots per evaluation; 0 = exact mode, 1000 is the usual sampled choice",
+    )
+    parser.add_argument("--max-evals", type=int, dest="max_evals")
+    parser.add_argument("--optimizer", choices=optimizers)
+    parser.add_argument("--adam-steps", type=int, dest="adam_steps")
+    parser.add_argument("--max-seconds", type=float, dest="max_seconds")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gbsopt",
@@ -211,14 +225,7 @@ def build_parser():
     p_train = sub.add_parser("train", help="run one training on an instance")
     p_train.add_argument("instance", help="instance JSON file")
     p_train.add_argument("--alpha", type=float)
-    p_train.add_argument(
-        "--shots", type=int, dest="shots_k",
-        help="shots per evaluation; 0 = exact mode, 1000 is the usual sampled choice",
-    )
-    p_train.add_argument("--max-evals", type=int, dest="max_evals")
-    p_train.add_argument("--optimizer", choices=["cobyla", "adam"])
-    p_train.add_argument("--adam-steps", type=int, dest="adam_steps")
-    p_train.add_argument("--max-seconds", type=float, dest="max_seconds")
+    _add_train_flags(p_train, ["cobyla", "adam"])
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--thresholds", help='fidelity thresholds, e.g. "0.1,0.01"')
     p_train.add_argument("--config", help="JSON config file (flags override it)")
@@ -233,11 +240,7 @@ def build_parser():
     p_exp.add_argument("--alphas")
     p_exp.add_argument("--thresholds")
     p_exp.add_argument("--base-seed", type=int, dest="base_seed")
-    p_exp.add_argument("--shots", type=int, dest="shots_k")
-    p_exp.add_argument("--max-evals", type=int, dest="max_evals")
-    p_exp.add_argument("--adam-steps", type=int, dest="adam_steps")
-    p_exp.add_argument("--max-seconds", type=float, dest="max_seconds")
-    p_exp.add_argument("--optimizer", choices=["auto", "cobyla", "adam"])
+    _add_train_flags(p_exp, ["auto", "cobyla", "adam"])
     p_exp.add_argument("--workers", type=int, help="worker processes (default: CPU count)")
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.set_defaults(func=cmd_experiment)

@@ -1,10 +1,13 @@
 """Batch experiment orchestration: sweeps, run records, success reports.
 
-A sweep executes size x instance x alpha x restart training runs, each
-producing one JSON record under ``runs/``.  Records are deterministic
-functions of the plan (timestamps and wall times live in a separate
-``metadata`` field), so re-running a finished or interrupted sweep skips
-completed records by content hash and reproduces the same report.
+A sweep executes size x instance x alpha x restart training runs, each a
+``RunTask`` that ends as one JSON record under ``runs/``, written by
+``write_record`` (as is the record of ``gbsopt train``).  Records are
+deterministic functions of the plan (timestamps and wall times live in a
+separate ``metadata`` field), so re-running a finished or interrupted
+sweep skips completed records by content hash and reproduces the same
+report.  A run that raises records the exception as its ``error``; one
+that hits ``max_seconds`` keeps its best theta, with ``error`` "timeout".
 
 Report files:
 
@@ -15,7 +18,7 @@ Report files:
 * ``report.json``   - the same content plus the fully resolved plan
 
 An instance counts as successful for (alpha, t) when any of its restarts
-reaches fidelity > t.
+without an error reaches fidelity > t.
 """
 
 import csv
@@ -27,27 +30,29 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CapacityError, GbsOptError
-from .optim import DEFAULT_THRESHOLDS, TrainConfig, train
+from .optim import DEFAULT_THRESHOLDS, TrainConfig, check_field_types, train
 from .problems import (
     BRUTE_FORCE_CAP,
+    FgaInstance,
     assemble_qubo,
     dump_instance,
     generate_instance,
     instance_filename,
-    load_instance,
 )
 
 __all__ = [
     "ExperimentPlan",
+    "RunTask",
     "SuccessReport",
     "run_experiment",
     "verify_report",
-    "record_to_json",
+    "write_record",
     "canonical_record_bytes",
     "default_sizes",
     "size_to_flights_gates",
@@ -55,6 +60,7 @@ __all__ = [
 
 RECORD_FORMAT_VERSION = 2
 REPORT_FORMAT_VERSION = 2
+REPORT_COLUMNS = ["n_modes", "alpha", "threshold", "success_fraction", "n_instances"]
 
 #: TrainConfig defaults bar the per-run seed and alpha; sweeps pick the
 #: optimizer per alpha ("auto") and cap each run's wall time
@@ -87,9 +93,18 @@ def _normalize_sizes(sizes):
     return tuple(out)
 
 
+def _reject_collisions(what, values, name):
+    """Raise ValueError when two of ``values`` share one ``name``."""
+    names = [name(value) for value in values]
+    clashes = sorted({value for value, n in zip(values, names) if names.count(n) > 1})
+    if clashes:
+        raise ValueError(f"{what} repeat or collide in file and column names: {clashes}")
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Everything one sweep needs; fields mirror the CLI flags."""
+    """Everything one sweep needs; fields mirror the CLI flags.  Checked
+    whole on construction, so no sweep starts on a plan that fails later."""
 
     sizes: tuple = field(default_factory=default_sizes)
     instances_per_size: int = 50
@@ -100,9 +115,13 @@ class ExperimentPlan:
     train: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", _normalize_sizes(self.sizes))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
+        try:
+            object.__setattr__(self, "sizes", _normalize_sizes(self.sizes))
+            object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+            object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
+        except TypeError as exc:
+            raise ValueError(f"malformed sizes, alphas or thresholds: {exc}") from exc
+        check_field_types(self)
         if self.instances_per_size < 1 or self.restarts < 1:
             raise ValueError("instance and restart counts must be >= 1")
         if not self.sizes:
@@ -112,12 +131,26 @@ class ExperimentPlan:
                 raise CapacityError(
                     f"size {f}x{g} exceeds the {BRUTE_FORCE_CAP}-mode solver cap"
                 )
+        # record files are named a{alpha:g}, report columns success_{t:g}
+        _reject_collisions("sizes", self.sizes, str)
+        _reject_collisions("alphas", self.alphas, "{:g}".format)
+        _reject_collisions("thresholds", self.thresholds, "{:g}".format)
         unknown = set(self.train) - set(DEFAULT_TRAIN_OVERRIDES)
         if unknown:
             raise ValueError(f"unknown train override(s): {sorted(unknown)}")
         merged = dict(DEFAULT_TRAIN_OVERRIDES)
         merged.update(self.train)
         object.__setattr__(self, "train", merged)
+        for alpha in self.alphas:
+            self.train_config(alpha, seed=0)  # rejects bad train values up front
+
+    def train_config(self, alpha, seed):
+        """The TrainConfig of this plan's runs at ``alpha`` with train seed ``seed``."""
+        overrides = dict(self.train)
+        if overrides["optimizer"] == "auto":
+            exact_mean = alpha == 1.0 and overrides["shots_k"] == 0
+            overrides["optimizer"] = "adam" if exact_mean else "cobyla"
+        return TrainConfig(seed=seed, alpha=alpha, **overrides)
 
     @classmethod
     def from_dict(cls, data):
@@ -140,32 +173,38 @@ def _derive_seed(*components):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _train_config_for(plan, alpha, train_seed):
-    overrides = dict(plan.train)
-    if overrides["optimizer"] == "auto":
-        exact_mean = alpha == 1.0 and overrides["shots_k"] == 0
-        overrides["optimizer"] = "adam" if exact_mean else "cobyla"
-    return TrainConfig(seed=train_seed, alpha=alpha, **overrides)
+def _instance_seeds(plan):
+    """(flights, gates, instance seed) of each of the plan's instances, in plan order."""
+    for n_flights, n_gates in plan.sizes:
+        for idx in range(plan.instances_per_size):
+            yield n_flights, n_gates, _derive_seed(plan.base_seed, n_flights, n_gates, idx)
+
+
+def _plan_runs(plan):
+    """(instance seed, alpha, restart, record file name) of each run, in plan order."""
+    for n_flights, n_gates, seed in _instance_seeds(plan):
+        instance_id = f"{n_flights * n_gates}_{seed}"  # the instance file's stem
+        for alpha in plan.alphas:
+            for restart in range(plan.restarts):
+                yield seed, alpha, restart, f"{instance_id}_a{alpha:g}_r{restart}.json"
 
 
 def write_instances(plan, out_dir: Path):
     """Generate the plan's instances into ``out_dir``, in plan order.
 
-    Returns (instance seed, instance, path) triples.  A file is written
-    only when it is missing or its text differs, so resuming a sweep
-    leaves the instance files untouched.
+    Returns {instance seed: (instance, path)}.  A file is written only
+    when it is missing or its text differs, so resuming a sweep leaves the
+    instance files untouched.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    out = []
-    for n_flights, n_gates in plan.sizes:
-        for idx in range(plan.instances_per_size):
-            seed = _derive_seed(plan.base_seed, n_flights, n_gates, idx)
-            instance = generate_instance(n_flights, n_gates, seed)
-            path = out_dir / instance_filename(instance)
-            text = dump_instance(instance)
-            if not path.exists() or path.read_text() != text:
-                _atomic_write(path, text)
-            out.append((seed, instance, path))
+    out = {}
+    for n_flights, n_gates, seed in _instance_seeds(plan):
+        instance = generate_instance(n_flights, n_gates, seed)
+        path = out_dir / instance_filename(instance)
+        text = dump_instance(instance)
+        if not path.exists() or path.read_text() != text:
+            _atomic_write(path, text)
+        out[seed] = (instance, path)
     return out
 
 
@@ -174,70 +213,91 @@ def write_instances(plan, out_dir: Path):
 # ---------------------------------------------------------------------------
 
 
-def _run_info(instance_id, inst_path, instance, alpha, restart):
-    return {
-        "instance_id": instance_id,
-        "instance_file": inst_path.name,
-        "n_modes": instance.n_modes,
-        "n_flights": instance.n_flights,
-        "n_gates": instance.n_gates,
-        "alpha": float(alpha),
-        "restart": restart,
-    }
+@dataclass(frozen=True)
+class RunTask:
+    """One training run and its record file; ``cfg`` is resolved for the instance's size."""
+
+    instance: FgaInstance
+    instance_file: str
+    cfg: TrainConfig
+    thresholds: tuple
+    record_path: Path
+    restart: int = 0
+
+    @property
+    def run(self):
+        """The record's ``run`` block."""
+        return {
+            "instance_id": Path(self.instance_file).stem,
+            "instance_file": self.instance_file,
+            "n_modes": self.instance.n_modes,
+            "n_flights": self.instance.n_flights,
+            "n_gates": self.instance.n_gates,
+            "alpha": float(self.cfg.alpha),
+            "restart": self.restart,
+        }
+
+    @property
+    def config(self):
+        """The record's ``config`` block: the TrainConfig's fields and the thresholds."""
+        return asdict(self.cfg) | {"thresholds": [float(t) for t in self.thresholds]}
+
+    @property
+    def config_sha256(self):
+        """Content hash of the record's run and config blocks; keys resumption."""
+        blocks = {"run": self.run, "config": self.config}
+        return hashlib.sha256(json.dumps(blocks, sort_keys=True).encode()).hexdigest()
 
 
-def record_to_json(run_info, config, result):
-    """Full record dict; deterministic apart from the metadata block."""
-    return {
+def write_record(task, trained, wall_time_s):
+    """Write the record of ``task`` to its record file and return it.
+
+    ``trained`` is the run's TrainRecord, or the message of the exception
+    it raised.  A timed-out run keeps its best theta and fidelity, and
+    carries ``error`` "timeout".  The record is deterministic apart from
+    its metadata block.
+    """
+    if isinstance(trained, str):
+        result = {
+            "best_theta": None,
+            "cost_trace": [],
+            "n_evals": 0,
+            "final_fidelity": 0.0,
+            "success": {str(float(t)): False for t in task.thresholds},
+            "timed_out": False,
+            "error": trained,
+        }
+    else:
+        result = {
+            "best_theta": trained.best_theta.entries.tolist(),
+            "cost_trace": [[int(i), float(c)] for i, c in trained.cost_trace],
+            "n_evals": int(trained.n_evals),
+            "final_fidelity": float(trained.final_fidelity),
+            "success": {str(t): bool(v) for t, v in sorted(trained.success.items())},
+            "timed_out": bool(trained.timed_out),
+            "error": "timeout" if trained.timed_out else None,
+        }
+    record = {
         "format_version": RECORD_FORMAT_VERSION,
         "kind": "train_record",
-        "run": run_info,
-        "config": config,
+        "run": task.run,
+        "config": task.config,
         "result": result,
         "metadata": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
+            "wall_time_s": wall_time_s,
         },
+        "config_sha256": task.config_sha256,
     }
+    _atomic_write(task.record_path, json.dumps(record, indent=1) + "\n")
+    return record
 
 
 def canonical_record_bytes(record):
-    """Serialized record with the metadata block removed.
-
-    This is the byte sequence that determinism guarantees cover, and the
-    input of the content hash used for sweep resumption.
-    """
+    """Serialized record with the metadata block removed: the byte
+    sequence that determinism guarantees cover."""
     body = {k: v for k, v in record.items() if k != "metadata"}
     return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-
-
-def _config_dict(cfg: TrainConfig, thresholds):
-    d = asdict(cfg)
-    d["thresholds"] = [float(t) for t in thresholds]
-    return d
-
-
-def _result_dict(record):
-    return {
-        "best_theta": record.best_theta.entries.tolist(),
-        "cost_trace": [[int(i), float(c)] for i, c in record.cost_trace],
-        "n_evals": int(record.n_evals),
-        "final_fidelity": float(record.final_fidelity),
-        "success": {str(t): bool(v) for t, v in sorted(record.success.items())},
-        "timed_out": bool(record.timed_out),
-        "error": None,
-    }
-
-
-def _error_result_dict(error_tag, thresholds):
-    return {
-        "best_theta": None,
-        "cost_trace": [],
-        "n_evals": 0,
-        "final_fidelity": 0.0,
-        "success": {str(float(t)): False for t in thresholds},
-        "timed_out": False,
-        "error": error_tag,
-    }
 
 
 def _atomic_write(path: Path, text: str):
@@ -252,30 +312,12 @@ def execute_run(task):
     Any exception is captured into the record as an error tag; a sweep
     never aborts because a single run failed.
     """
-    out_path = Path(task["record_path"])
-    thresholds = task["thresholds"]
-    cfg = TrainConfig(**task["config"])
-    run_info = task["run_info"]
     started = time.monotonic()
-    error = None
     try:
-        instance = load_instance(Path(task["instance_path"]).read_text())
-        record = train(assemble_qubo(instance), cfg, thresholds)
-        if record.timed_out:
-            error = "timeout"
-            result = _error_result_dict(error, thresholds)
-            result["n_evals"] = int(record.n_evals)
-        else:
-            result = _result_dict(record)
+        trained = train(assemble_qubo(task.instance), task.cfg, task.thresholds)
     except Exception as exc:  # noqa: BLE001 - partial-failure policy
-        error = f"{type(exc).__name__}: {exc}"
-        result = _error_result_dict(error, thresholds)
-    wall = time.monotonic() - started
-    full = record_to_json(run_info, _config_dict(cfg, thresholds), result)
-    full["metadata"]["wall_time_s"] = wall
-    full["config_sha256"] = _config_hash(task)
-    _atomic_write(out_path, json.dumps(full, indent=1) + "\n")
-    return _summary_from_record(full)
+        trained = f"{type(exc).__name__}: {exc}"
+    return _summary_from_record(write_record(task, trained, time.monotonic() - started))
 
 
 def _summary_from_record(record):
@@ -296,14 +338,6 @@ def _summary_from_record(record):
     }
 
 
-def _config_hash(task):
-    """Content hash of a task's run info and record config; keys resumption."""
-    config = _config_dict(TrainConfig(**task["config"]), task["thresholds"])
-    return hashlib.sha256(
-        json.dumps({"run": task["run_info"], "config": config}, sort_keys=True).encode()
-    ).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # sweep execution
 # ---------------------------------------------------------------------------
@@ -312,41 +346,26 @@ def _config_hash(task):
 def _build_tasks(plan, out_dir: Path):
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
+    instances = write_instances(plan, out_dir / "instances")
     tasks = []
-    for inst_seed, instance, inst_path in write_instances(plan, out_dir / "instances"):
-        n = instance.n_modes
-        instance_id = f"{n}_{inst_seed}"
-        for alpha in plan.alphas:
-            for restart in range(plan.restarts):
-                train_seed = _derive_seed(inst_seed, restart)
-                # records carry the size-resolved config (max_evals
-                # filled in), which also feeds the resume hash
-                cfg = _train_config_for(plan, alpha, train_seed).resolved(n)
-                record_name = f"{instance_id}_a{alpha:g}_r{restart}.json"
-                tasks.append(
-                    {
-                        "instance_path": str(inst_path),
-                        "record_path": str(runs_dir / record_name),
-                        "config": asdict(cfg),
-                        "thresholds": list(plan.thresholds),
-                        "run_info": _run_info(
-                            instance_id, inst_path, instance, alpha, restart
-                        ),
-                    }
-                )
+    for seed, alpha, restart, record_name in _plan_runs(plan):
+        instance, path = instances[seed]
+        # records carry the size-resolved config (max_evals filled in),
+        # which also feeds the resume hash
+        cfg = plan.train_config(alpha, _derive_seed(seed, restart)).resolved(instance.n_modes)
+        tasks.append(
+            RunTask(instance, path.name, cfg, plan.thresholds, runs_dir / record_name, restart)
+        )
     return tasks
 
 
 def _resume_summary(task):
     """Summary from an existing record if it matches the task, else None."""
-    path = Path(task["record_path"])
-    if not path.exists():
-        return None
     try:
-        record = json.loads(path.read_text())
+        record = json.loads(task.record_path.read_text())
     except (OSError, json.JSONDecodeError):
         return None
-    if record.get("config_sha256") != _config_hash(task):
+    if record.get("config_sha256") != task.config_sha256:
         return None
     return _summary_from_record(record)
 
@@ -361,14 +380,9 @@ def run_experiment(plan, out_dir, workers=None):
     """Execute a sweep (resuming where possible) and write the report."""
     out_dir = Path(out_dir)
     tasks = _build_tasks(plan, out_dir)
-    summaries = []
-    pending = []
-    for task in tasks:
-        existing = _resume_summary(task)
-        if existing is not None:
-            summaries.append(existing)
-        else:
-            pending.append(task)
+    resumed = [_resume_summary(task) for task in tasks]
+    summaries = [summary for summary in resumed if summary is not None]
+    pending = [task for task, summary in zip(tasks, resumed) if summary is None]
     workers = resolve_workers(workers)
     if pending:
         if workers == 1:
@@ -420,18 +434,19 @@ def build_report(plan, summaries):
 
     instance_rows = []
     for (n_modes, instance_id, alpha), runs in sorted(by_instance.items()):
-        best = max(r["final_fidelity"] for r in runs)
+        # a run with an error (a timeout included) counts as fidelity 0
+        clean = [r for r in runs if not r["error"]]
         row = {
             "n_modes": n_modes,
             "instance_id": instance_id,
             "alpha": alpha,
-            "best_fidelity": best,
+            "best_fidelity": max((r["final_fidelity"] for r in clean), default=0.0),
             "n_evals": sum(r["n_evals"] for r in runs),
             "wall_time_s": sum(r["wall_time_s"] for r in runs),
-            "n_errors": sum(1 for r in runs if r["error"]),
+            "n_errors": len(runs) - len(clean),
         }
         for t in plan.thresholds:
-            row[f"success_{t:g}"] = any(r["success"].get(str(t), False) for r in runs)
+            row[f"success_{t:g}"] = any(r["success"].get(str(t), False) for r in clean)
         instance_rows.append(row)
 
     rows = []
@@ -464,30 +479,21 @@ def build_report(plan, summaries):
     )
 
 
-def _write_csv(path: Path, fieldnames, rows):
+def _csv_text(fieldnames, rows):
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    _atomic_write(path, buf.getvalue())
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def write_report(report, out_dir):
     out_dir = Path(out_dir)
-    _write_csv(
-        out_dir / "report.csv",
-        ["n_modes", "alpha", "threshold", "success_fraction", "n_instances"],
-        report.rows,
-    )
+    _atomic_write(out_dir / "report.csv", _csv_text(REPORT_COLUMNS, report.rows))
     threshold_cols = [f"success_{t:g}" for t in report.plan.thresholds]
-    _write_csv(
-        out_dir / "instances.csv",
-        ["n_modes", "instance_id", "alpha", "best_fidelity"]
-        + threshold_cols
-        + ["n_evals", "wall_time_s", "n_errors"],
-        report.instance_rows,
-    )
+    instance_cols = (["n_modes", "instance_id", "alpha", "best_fidelity"] + threshold_cols
+                     + ["n_evals", "wall_time_s", "n_errors"])
+    _atomic_write(out_dir / "instances.csv", _csv_text(instance_cols, report.instance_rows))
     run_cols = (
         ["n_modes", "n_flights", "n_gates", "instance_id", "alpha", "restart",
          "final_fidelity"] + threshold_cols + ["n_evals", "wall_time_s", "error"]
@@ -498,7 +504,7 @@ def write_report(report, out_dir):
         for t in report.plan.thresholds:
             row[f"success_{t:g}"] = s["success"].get(str(t), False)
         run_rows.append({k: row[k] for k in run_cols})
-    _write_csv(out_dir / "runs.csv", run_cols, run_rows)
+    _atomic_write(out_dir / "runs.csv", _csv_text(run_cols, run_rows))
     payload = {
         "format_version": REPORT_FORMAT_VERSION,
         "kind": "success_report",
@@ -512,36 +518,32 @@ def write_report(report, out_dir):
 
 
 def verify_report(out_dir):
-    """Recompute success fractions from run records; compare to report.csv.
+    """Recompute report.csv from the run records and compare the text.
 
-    Returns the number of verified aggregate rows; raises GbsOptError on
-    any mismatch.  This keeps the report a pure function of the records.
+    The record files under ``runs/`` must be exactly those the plan in
+    ``report.json`` names.  Returns the number of verified aggregate
+    rows; raises GbsOptError on any mismatch.  This keeps the report a
+    pure function of the records.
     """
     out_dir = Path(out_dir)
     report_path = out_dir / "report.json"
     if not report_path.exists():
         raise GbsOptError(f"no report.json under {out_dir}")
-    payload = json.loads(report_path.read_text())
-    plan = ExperimentPlan.from_dict(payload["plan"])
-    summaries = []
-    for path in sorted((out_dir / "runs").glob("*.json")):
-        summaries.append(_summary_from_record(json.loads(path.read_text())))
-    rebuilt = build_report(plan, summaries)
-
-    with (out_dir / "report.csv").open() as fh:
-        stored = list(csv.DictReader(fh))
-    if len(stored) != len(rebuilt.rows):
+    plan = ExperimentPlan.from_dict(json.loads(report_path.read_text())["plan"])
+    runs_dir = out_dir / "runs"
+    expected = {name for *_, name in _plan_runs(plan)}
+    found = {path.name for path in runs_dir.glob("*.json")}
+    if found != expected:
         raise GbsOptError(
-            f"report.csv has {len(stored)} rows, records imply {len(rebuilt.rows)}"
+            f"run records do not match the plan: missing {sorted(expected - found)}, "
+            f"unexpected {sorted(found - expected)}"
         )
-    for got, want in zip(stored, rebuilt.rows):
-        ok = (
-            int(got["n_modes"]) == want["n_modes"]
-            and float(got["alpha"]) == want["alpha"]
-            and float(got["threshold"]) == want["threshold"]
-            and abs(float(got["success_fraction"]) - want["success_fraction"]) < 1e-12
-            and int(got["n_instances"]) == want["n_instances"]
-        )
-        if not ok:
-            raise GbsOptError(f"report row mismatch: stored {got}, recomputed {want}")
+    rebuilt = build_report(
+        plan, [_summary_from_record(json.loads((runs_dir / name).read_text()))
+               for name in sorted(expected)]
+    )
+    stored = (out_dir / "report.csv").read_text().splitlines()
+    for got, want in zip_longest(stored, _csv_text(REPORT_COLUMNS, rebuilt.rows).splitlines()):
+        if got != want:
+            raise GbsOptError(f"report.csv mismatch: stored {got!r}, recomputed {want!r}")
     return len(rebuilt.rows)

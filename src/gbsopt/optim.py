@@ -17,7 +17,9 @@ and the ADAM step size are the module constants below.
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
+from typing import get_args
 
 import numpy as np
 from scipy.optimize import minimize
@@ -64,6 +66,22 @@ ADAM_LR = 0.05
 #: central finite-difference step for gradients of the analytic cost
 FD_STEP = 1e-5
 
+#: annotations that admit any value of a wider numeric type
+_NUMERIC = {int: Integral, float: Real}
+
+
+def check_field_types(obj):
+    """Raise ValueError unless each field of the dataclass ``obj`` has its
+    annotated type; int admits any integral number, float any real one,
+    and neither admits a bool."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        types = get_args(f.type) or (f.type,)
+        accepted = tuple(_NUMERIC.get(t, t) for t in types)
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            names = " | ".join(t.__name__ for t in types)
+            raise ValueError(f"{f.name} = {value!r} is not of type {names}")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -86,12 +104,15 @@ class TrainConfig:
     max_seconds: float | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         if self.shots_k < 0:
             raise ValueError("shots_k must be >= 0")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
+        if self.optimizer == "adam" and (self.alpha != 1.0 or self.shots_k != 0):
+            raise ValueError("the adam path trains the analytic alpha=1 cost in exact mode")
         if self.adam_steps < 1:
             raise ValueError("adam_steps must be >= 1")
         if self.max_evals is not None and self.max_evals < 1:
@@ -381,8 +402,6 @@ def train(qubo, cfg, thresholds=DEFAULT_THRESHOLDS):
     pure function of (qubo, cfg, thresholds).
     """
     cfg = cfg.resolved(qubo.n)
-    if cfg.optimizer == "adam" and (cfg.alpha != 1.0 or cfg.shots_k != 0):
-        raise ValueError("the adam path trains the analytic alpha=1 cost in exact mode")
     if cfg.shots_k == 0 and cfg.alpha < 1.0 and qubo.n > ENUMERATION_CAP:
         raise CapacityError("exact-distribution training exceeds the enumeration cap")
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -42,6 +43,29 @@ def canonical_without_metadata(path):
     return canonical_record_bytes(json.loads(Path(path).read_text()))
 
 
+def sweep_then_train(tmp_path, train):
+    """A one-run sweep with ``train`` overrides, then ``gbsopt train`` on the
+    sweep's instance and record config.  Returns the report, both records
+    and the instance file."""
+    plan = ExperimentPlan.from_dict(
+        {**TINY_PLAN, "instances_per_size": 1, "restarts": 1, "alphas": [0.5],
+         "thresholds": [0.1, 1e-9], "train": train}
+    )
+    report = run_experiment(plan, tmp_path / "sweep", workers=1)
+    swept = json.loads(next((tmp_path / "sweep" / "runs").glob("*.json")).read_text())
+    instance = tmp_path / "sweep" / "instances" / swept["run"]["instance_file"]
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps(swept["config"]))
+    rec = tmp_path / "rec.json"
+    assert main(["train", str(instance), "--config", str(config), "--out", str(rec)]) == 0
+    return report, swept, json.loads(rec.read_text()), instance
+
+
+def assert_same_blocks(a, b):
+    for block in ("run", "config", "result", "config_sha256"):
+        assert json.dumps(a[block], sort_keys=True) == json.dumps(b[block], sort_keys=True)
+
+
 class TestPlan:
     def test_defaults_cover_paper_sizes(self):
         plan = ExperimentPlan()
@@ -66,6 +90,31 @@ class TestPlan:
             ExperimentPlan.from_dict({"sizes": [6], "typo": 1})
         with pytest.raises(ValueError, match="unknown train override"):
             ExperimentPlan(train={"typo": 1})
+
+    def test_rejects_values_of_the_wrong_type(self):
+        with pytest.raises(ValueError, match="shots_k = '5'"):
+            ExperimentPlan(train={"shots_k": "5"})
+        with pytest.raises(ValueError, match="restarts = '2'"):
+            ExperimentPlan(restarts="2")
+        with pytest.raises(ValueError, match="malformed"):
+            ExperimentPlan(alphas=[None])
+        with pytest.raises(ValueError, match="adam"):
+            ExperimentPlan(alphas=[0.5], train={"optimizer": "adam"})
+        with pytest.raises(ValueError, match="alpha = '0.1'"):
+            TrainConfig(seed=1, alpha="0.1")
+        with pytest.raises(ValueError, match="seed = True"):
+            TrainConfig(seed=True)
+
+    def test_rejects_values_that_collide_in_names(self):
+        # record files carry a{alpha:g}, report columns success_{t:g}
+        for plan, named in (
+            ({"alphas": [0.1, 0.1]}, "alphas .*: \\[0.1\\]"),
+            ({"alphas": [0.1, 0.1000000001]}, "alphas .*: \\[0.1, 0.1000000001\\]"),
+            ({"thresholds": [0.01, 0.0100000001]}, "thresholds .*: \\[0.01, 0.0100000001\\]"),
+            ({"sizes": [6, [2, 3]]}, "sizes .*: \\[\\(2, 3\\)\\]"),
+        ):
+            with pytest.raises(ValueError, match=named):
+                ExperimentPlan.from_dict(plan)
 
     def test_round_trips_through_dict(self):
         plan = ExperimentPlan.from_dict(TINY_PLAN)
@@ -134,6 +183,36 @@ class TestRunExperiment:
             record_path.write_text(json.dumps(record))
         with pytest.raises(GbsOptError, match="mismatch"):
             verify_report(tmp_path)
+
+    def test_verify_checks_the_record_set(self, tmp_path):
+        run_experiment(ExperimentPlan.from_dict(TINY_PLAN), tmp_path, workers=1)
+        runs = tmp_path / "runs"
+        paths = sorted(runs.glob("*.json"))
+        stray = runs / "6_1_a1_r9.json"
+        shutil.copy(paths[0], stray)
+        with pytest.raises(GbsOptError, match="unexpected \\['6_1_a1_r9.json'\\]"):
+            verify_report(tmp_path)
+        stray.unlink()
+        # drop the weaker restart of the first instance: the report is unchanged
+        first = [json.loads(p.read_text()) for p in paths[:2]]
+        assert first[0]["run"]["instance_id"] == first[1]["run"]["instance_id"]
+        weaker = min((0, 1), key=lambda k: first[k]["result"]["success"]["0.1"])
+        paths[weaker].unlink()
+        with pytest.raises(GbsOptError, match=f"missing \\['{paths[weaker].name}'\\]"):
+            verify_report(tmp_path)
+
+    def test_timed_out_run_keeps_its_theta(self, tmp_path):
+        report, swept, trained, _ = sweep_then_train(tmp_path, {"max_seconds": 0})
+        result = swept["result"]
+        assert result["timed_out"] is True and result["error"] == "timeout"
+        assert result["n_evals"] == 1
+        assert np.array(result["best_theta"]).shape == (6, 6)
+        assert result["success"]["1e-09"]  # a fact of the run, which the report ignores
+        assert_same_blocks(trained, swept)
+        assert report.n_errors == 1
+        fractions = (tmp_path / "sweep" / "report.csv").read_text().splitlines()[1:]
+        assert fractions == ["6,0.5,0.1,0.0,1", "6,0.5,1e-09,0.0,1"]
+        assert verify_report(tmp_path / "sweep") == 2
 
     def test_failed_runs_are_recorded_not_raised(self, tmp_path, monkeypatch):
         import gbsopt.harness as harness
@@ -224,26 +303,12 @@ class TestCli:
         assert set(ExperimentPlan().train) == (
             {f.name for f in fields(TrainConfig)} - {"seed", "alpha"}
         )
-        plan = ExperimentPlan.from_dict(
-            {**TINY_PLAN, "instances_per_size": 1, "restarts": 1, "alphas": [0.5],
-             "train": {"max_evals": 40}}
-        )
-        run_experiment(plan, tmp_path / "sweep", workers=1)
-        swept = json.loads(next((tmp_path / "sweep" / "runs").glob("*.json")).read_text())
-        instance = tmp_path / "sweep" / "instances" / swept["run"]["instance_file"]
+        _, swept, trained, instance = sweep_then_train(tmp_path, {"max_evals": 40})
         assert swept["config"]["seed"] == _derive_seed(
             load_instance(instance.read_text()).seed, 0
         )
-        config = tmp_path / "train.json"
-        config.write_text(json.dumps(swept["config"]))
-        rec = tmp_path / "rec.json"
-        assert main(["train", str(instance), "--config", str(config),
-                     "--out", str(rec)]) == 0
-        trained = json.loads(rec.read_text())
-        for block in ("config", "result"):
-            assert json.dumps(trained[block], sort_keys=True) == json.dumps(
-                swept[block], sort_keys=True
-            )
+        assert_same_blocks(trained, swept)
+        assert trained["metadata"]["wall_time_s"] > 0.0
 
     def test_train_trivial_instance_record(self, tmp_path):
         # zero transfer and zero penalties make every pattern optimal:
@@ -332,6 +397,26 @@ class TestCli:
             record["result"]["final_fidelity"] = 0.0
             record_path.write_text(json.dumps(record))
         assert main(["verify", str(out)]) == 2
+
+    def test_bad_plan_values_exit_2_before_any_file(self, tmp_path, capsys):
+        plan_file = tmp_path / "plan.json"
+        out = tmp_path / "exp"
+        for train, named in (({"shots_k": "5"}, "shots_k"), ({"max_evals": 0}, "max_evals")):
+            plan_file.write_text(json.dumps({**TINY_PLAN, "train": train}))
+            assert main(["experiment", "--plan", str(plan_file), "--out", str(out),
+                         "--workers", "1"]) == 2
+            assert named in capsys.readouterr().err
+            assert not out.exists()
+
+        main(["generate", "--sizes", "1x2", "--instances", "1", "--out", str(tmp_path / "i")])
+        instance = next((tmp_path / "i").glob("*.json"))
+        config = tmp_path / "train.json"
+        for values, named in (
+            ({"alpha": "0.1"}, "alpha = '0.1'"), ({"thresholds": 0.1}, "thresholds"),
+        ):
+            config.write_text(json.dumps(values))
+            assert main(["train", str(instance), "--config", str(config)]) == 2
+            assert named in capsys.readouterr().err
 
     def test_experiment_flags_override_plan(self, tmp_path):
         plan_file = tmp_path / "plan.json"
