@@ -10,9 +10,10 @@ Layers, bottom to top:
   1 / sqrt(det P_W det Q_W), all from one subset-determinant kernel
   (closed-form 1 x 1 and 2 x 2 minors for the analytic <Q>);
 * :mod:`gbsopt.torontonian` — exact click-pattern probabilities,
-  enumeration and chain-rule sampling, each an inclusion-exclusion sum
-  of those vacuum marginals (the threshold-detector law of Quesada,
-  Arrazola & Killoran, PRA 98, 062322 (2018)).  Probabilities stay within
+  enumeration and chain-rule sampling, each read off one superset
+  Moebius transform of a table of those vacuum marginals (the
+  inclusion-exclusion law of threshold detectors; Quesada, Arrazola &
+  Killoran, PRA 98, 062322 (2018)).  Probabilities stay within
   1.3e-15 of a 40-digit evaluation up to spectral radius 6 and within
   1.2e-14 where one mode is squeezed to r = 5.5; the enumeration holds
   tables of 2^N floats and one 1 MiB kernel batch;

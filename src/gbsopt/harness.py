@@ -86,10 +86,13 @@ def _normalize_sizes(sizes):
     out = []
     for entry in sizes:
         if isinstance(entry, int):
-            out.append(size_to_flights_gates(entry))
-        else:
-            f, g = entry
-            out.append((int(f), int(g)))
+            if entry < 1:
+                raise ValueError(f"sizes: mode count {entry} is below 1")
+            entry = size_to_flights_gates(entry)
+        f, g = (int(v) for v in entry)
+        if f < 1 or g < 1:
+            raise ValueError(f"sizes: {f}x{g} needs at least one flight and one gate")
+        out.append((f, g))
     return tuple(out)
 
 
@@ -124,6 +127,8 @@ class ExperimentPlan:
         check_field_types(self)
         if self.instances_per_size < 1 or self.restarts < 1:
             raise ValueError("instance and restart counts must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed = {self.base_seed} must be >= 0")
         if not self.sizes:
             raise ValueError("at least one size is required")
         for f, g in self.sizes:

@@ -105,6 +105,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed} must be >= 0")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         if self.shots_k < 0:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, GenerationError
 from .gaussian import _frozen_array
-from .torontonian import all_patterns
+from .torontonian import index_to_pattern
 
 __all__ = [
     "FgaInstance",
@@ -132,13 +132,14 @@ class QuboProblem:
         if energies is None:
             if self.n > BRUTE_FORCE_CAP:
                 raise CapacityError(f"{self.n} variables exceed the enumeration cap")
-            patterns = all_patterns(self.n)
-            # chunk the float conversion; the full float matrix at N = 20 is
-            # large enough to matter
+            # chunked over index ranges: the (2^N, N) pattern matrix at N = 20
+            # is large enough to matter
             chunk = 1 << 16
-            energies = np.empty(patterns.shape[0])
-            for start in range(0, patterns.shape[0], chunk):
-                energies[start : start + chunk] = self.values(patterns[start : start + chunk])
+            size = 1 << self.n
+            energies = np.empty(size)
+            for start in range(0, size, chunk):
+                rows = index_to_pattern(np.arange(start, min(start + chunk, size)), self.n)
+                energies[start : start + chunk] = self.values(rows)
             energies = _frozen_array(energies)
             object.__setattr__(self, "_pattern_energies", energies)
         return energies
@@ -293,8 +294,7 @@ def brute_force_solve(qubo):
     min_value = float(energies.min())
     scale = float(np.abs(qubo.q).sum() + abs(qubo.offset))
     tol = 1e-9 * max(1.0, scale)
-    mask = energies <= min_value + tol
-    minimizers = all_patterns(qubo.n)[mask]
+    minimizers = index_to_pattern(np.flatnonzero(energies <= min_value + tol), qubo.n)
     return GroundTruth(min_value=min_value, minimizers=minimizers)
 
 

@@ -1,23 +1,21 @@
 """Exact threshold-detector statistics for Gaussian states.
 
-Every probability here is an inclusion-exclusion sum of vacuum marginals
+Every probability here comes from the vacuum marginals
 
     f(W) = P(no photon on any mode of W) = 1 / sqrt(det P_W det Q_W),
 
-with f(empty set) = 1 (Quesada, Arrazola & Killoran, "Gaussian boson
-sampling using threshold detectors", PRA 98, 062322 (2018), in the real
-form of :mod:`gbsopt.gaussian`).  The probability that the modes of D stay
-dark and every mode of S clicks, whatever the other modes do, is
-
-    sum over Z subsets of S of (-1)^|Z| f(D + Z):
-
-a click pattern has D and S covering all modes, a prefix marginal of the
-sampler covers a prefix.  Every f comes from the one kernel
-``gaussian.subset_determinants``; the cost is exponential in the number
-of clicked modes, which is the intended desk-scale regime.  (The
+f(empty set) = 1 (Quesada, Arrazola & Killoran, PRA 98, 062322 (2018),
+in the real form of :mod:`gbsopt.gaussian`), by one route,
+:func:`_dark_law`: for dark modes D and free modes S, the table of
+f(D + Z) over all Z subsets of S, turned in place by a superset Moebius
+transform into P(D + Z dark, S - Z clicked, other modes unconstrained).
+Its entry Z = empty, the sum over Z of (-1)^|Z| f(D + Z), is a pattern's
+probability (D and S its dark and clicked modes) or a prefix marginal of
+the sampler (D and S covering a prefix); with D empty and S all modes
+the table is the whole distribution.  Every f comes from the one kernel
+``gaussian.subset_determinants``, at a cost exponential in |S|.  (The
 Torontonian of the 2N x 2N matrix O = I - inv(Sigma) is the same law
-written without the real form; ``tests/oracles.py`` keeps it as a
-reference.)
+without the real form; ``tests/oracles.py`` keeps it as a reference.)
 
 Accuracy: every probability is within 1.3e-15 of a 40-digit evaluation
 for random theta up to spectral radius 6, and within 1.2e-14 where one
@@ -27,11 +25,11 @@ pattern probability or prefix marginal with k clicks holds a table of
 one kernel batch of at most ``gaussian.BATCH_BYTES``.
 
 Pattern indexing convention: bit i of an integer pattern index is the
-outcome of mode i (index = sum_i d_i * 2^i).
+outcome of mode i (index = sum_i d_i * 2^i); every 0/1 row is built by
+:func:`index_to_pattern`.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,28 +59,29 @@ NORMALIZATION_TOL = 1e-9
 
 def pattern_index(pattern):
     """Integer index of a click pattern (bit i = mode i)."""
-    idx = 0
-    for i, b in enumerate(pattern):
-        if b:
-            idx |= 1 << i
-    return idx
+    return sum(1 << int(i) for i in np.flatnonzero(pattern))
 
 
 def index_to_pattern(index, n_modes):
-    """Inverse of :func:`pattern_index`."""
-    return np.array([(index >> i) & 1 for i in range(n_modes)], dtype=np.int8)
+    """The int8 0/1 pattern of ``index``, one row per entry of an array of
+    indices (shape ``np.shape(index) + (n_modes,)``); inverts :func:`pattern_index`."""
+    bits = np.asarray(index, dtype=np.int64)[..., np.newaxis] >> np.arange(n_modes)
+    bits &= 1  # in place, so no second int64 table of the same size is held
+    return bits.astype(np.int8)
 
 
 def all_patterns(n_modes):
     """(2^N, N) matrix of all click patterns in index order."""
-    idx = np.arange(1 << n_modes, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(n_modes)[None, :]) & 1).astype(np.int8)
+    return index_to_pattern(np.arange(1 << n_modes), n_modes)
 
 
 def _checked_pattern(pattern, n_modes):
     pattern = np.asarray(pattern)
     if pattern.shape != (n_modes,):
         raise ValueError(f"pattern length {pattern.shape} does not match {n_modes} modes")
+    bad = pattern[(pattern != 0) & (pattern != 1)]
+    if bad.size:
+        raise ValueError(f"pattern entries must be 0 or 1, got {sorted(set(bad.tolist()))}")
     return pattern
 
 
@@ -95,7 +94,7 @@ def _subset_levels(n):
     the arrays are read-only, since every caller shares them.
     """
     masks = np.arange(1 << n)
-    bits = (masks[:, None] >> np.arange(n)) & 1
+    bits = index_to_pattern(masks, n)
     sizes = bits.sum(axis=1)
     levels = []
     for k in range(1, n + 1):
@@ -126,23 +125,24 @@ def _vacuum_table(state, dark, free):
     return table
 
 
-def _click_probability(state, pattern):
-    """P(the first len(pattern) modes show the 0/1 ``pattern``), other modes unconstrained.
-
-    The inclusion-exclusion sum cancels severely, so its terms are
-    accumulated with compensated summation, then clamped at zero.
+def _dark_law(state, dark, free):
+    """P(the modes of dark + Z stay dark, those of free - Z click) for every
+    Z subset of ``free``, indexed like :func:`_vacuum_table`; the other modes
+    are unconstrained.  O(k 2^k) arithmetic on top of the table, k = |free|.
     """
-    clicked = np.flatnonzero(pattern)
-    terms = _vacuum_table(state, np.flatnonzero(pattern == 0), clicked)
-    for k, (masks, _) in enumerate(_subset_levels(len(clicked)), 1):
-        if k % 2:
-            terms[masks] *= -1.0
-    return _clamped_probability(math.fsum(terms.tolist()), "click probability")
+    table = _vacuum_table(state, dark, free)
+    for i in range(len(free)):
+        # subsets without bit i minus their partners with it, in place
+        pairs = table.reshape(-1, 2, 1 << i)
+        pairs[:, 0] -= pairs[:, 1]
+    return table
 
 
-def _clamped_probability(value, context):
+def _click_probability(state, pattern):
+    """P(the first len(pattern) modes show the 0/1 ``pattern``), other modes unconstrained."""
+    value = float(_dark_law(state, np.flatnonzero(pattern == 0), np.flatnonzero(pattern))[0])
     if value < -NEGATIVE_CLAMP:
-        raise InvalidStateError(f"{context} = {value} is negative beyond roundoff")
+        raise InvalidStateError(f"click probability {value} is negative beyond roundoff")
     return max(value, 0.0)
 
 
@@ -177,15 +177,15 @@ class PatternDistribution:
 def full_distribution(state: GaussianState):
     """Exact distribution over all 2^N patterns.
 
-    The vacuum marginals f(W) of all 2^N mode subsets are computed once;
-    an in-place superset Moebius transform turns f(W) into the
+    :func:`_dark_law` with no dark modes and every mode free: the
     probability that exactly the modes of W stay dark, which is the
-    pattern whose index is the complement of W (O(N 2^N) arithmetic
-    instead of the O(3^N) of one inclusion-exclusion sum per pattern).
-    Normalization is checked to 1e-9.
+    pattern whose index is the complement of W, for all 2^N subsets at
+    once (O(N 2^N) arithmetic instead of the O(3^N) of one sum per
+    pattern).  Normalization is checked to 1e-9.
 
     Accuracy, against a 40-digit mpmath evaluation of the same law at
-    N = 6 (``pattern_probability`` does as well): the absolute error of
+    N = 6 (``pattern_probability``, entry 0 of the same transform on its
+    own dark and clicked modes, does as well): the absolute error of
     every probability was at most 1.3e-15 for random theta rescaled to a
     spectral radius (largest squeezing) of 1 to 6, 1.1e-16 with every
     mode squeezed near r = 5, and up to 1.2e-14 at the ADAM alpha = 1
@@ -202,47 +202,17 @@ def full_distribution(state: GaussianState):
     """
     n = state.n_modes
     if n > ENUMERATION_CAP:
-        raise CapacityError(
-            f"{n} modes exceed the enumeration cap {ENUMERATION_CAP}; "
-            "use sample() instead"
-        )
-    table = _vacuum_table(state, [], np.arange(n))
-    for i in range(n):
-        # subsets without bit i minus their partners with it, in place
-        pairs = table.reshape(-1, 2, 1 << i)
-        pairs[:, 0] -= pairs[:, 1]
-    probs = table[::-1]  # the pattern of index x leaves dark the set (2^N - 1) ^ x
+        raise CapacityError(f"{n} modes exceed the enumeration cap {ENUMERATION_CAP}; "
+                            "use sample() instead")
+    # the pattern of index x leaves dark the set (2^N - 1) ^ x
+    probs = _dark_law(state, [], np.arange(n))[::-1]
     if probs.min() < -NEGATIVE_CLAMP:
-        raise InvalidStateError(
-            f"pattern probability {probs.min()} negative beyond roundoff"
-        )
+        raise InvalidStateError(f"pattern probability {probs.min()} negative beyond roundoff")
     np.clip(probs, 0.0, None, out=probs)
     total = probs.sum()
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise InvalidStateError(f"distribution sums to {total}, expected 1")
     return PatternDistribution(n_modes=n, probs=probs)
-
-
-class _PrefixMarginals:
-    """Threshold-pattern marginals on mode prefixes, memoized.
-
-    m(j, clicks) is the probability of observing the click subset
-    ``clicks`` on modes 0..j-1 irrespective of the remaining modes.  The
-    marginal of a reduced state equals the full state's, so it is taken
-    on the full state.
-    """
-
-    def __init__(self, state: GaussianState):
-        self._state = state
-        self._memo = {}
-
-    def __call__(self, j, clicks):
-        key = (j, clicks)
-        value = self._memo.get(key)
-        if value is None:
-            value = _click_probability(self._state, index_to_pattern(clicks, j))
-            self._memo[key] = value
-        return value
 
 
 def sample(state: GaussianState, k, seed):
@@ -251,7 +221,8 @@ def sample(state: GaussianState, k, seed):
     For each mode j the no-click probability conditioned on the outcomes
     so far is the ratio of two prefix marginals, the one with mode j dark
     over the one without mode j; the marginal with mode j clicked is
-    their difference.  Marginals are memoized across samples.
+    their difference; each marginal is :func:`_dark_law` entry 0 on the
+    prefix's dark and clicked modes, memoized across samples.
     Deterministic for a given seed.  Returns a (k, N) 0/1 array, one
     pattern per row.
     """
@@ -260,7 +231,7 @@ def sample(state: GaussianState, k, seed):
     if seed is None:
         raise ValueError("an explicit seed is required")
     n = state.n_modes
-    marginal = _PrefixMarginals(state)
+    marginals = {}  # (j, clicks on modes 0..j-1) -> marginal with mode j - 1 dark
     rng = np.random.default_rng(seed)
     uniforms = rng.random((k, n))
     out = np.zeros((k, n), dtype=np.int8)
@@ -268,7 +239,9 @@ def sample(state: GaussianState, k, seed):
         clicks = 0
         prev = 1.0
         for j in range(1, n + 1):
-            m0 = marginal(j, clicks)
+            m0 = marginals.get((j, clicks))
+            if m0 is None:
+                m0 = marginals[j, clicks] = _click_probability(state, index_to_pattern(clicks, j))
             p_no_click = m0 / prev
             if not -1e-9 <= p_no_click <= 1.0 + 1e-9:
                 raise InvalidStateError(

@@ -116,6 +116,19 @@ class TestPlan:
             with pytest.raises(ValueError, match=named):
                 ExperimentPlan.from_dict(plan)
 
+    def test_rejects_sizes_and_seeds_below_range(self):
+        for plan, named in (
+            ({"sizes": [[0, 3]]}, "sizes: 0x3"),
+            ({"sizes": [[2, -3]]}, "sizes: 2x-3"),
+            ({"sizes": [-4]}, "sizes: mode count -4"),
+            ({"sizes": [0]}, "sizes: mode count 0"),
+            ({"base_seed": -1}, "base_seed = -1"),
+        ):
+            with pytest.raises(ValueError, match=named):
+                ExperimentPlan.from_dict(plan)
+        with pytest.raises(ValueError, match="seed = -1"):
+            TrainConfig(seed=-1)
+
     def test_round_trips_through_dict(self):
         plan = ExperimentPlan.from_dict(TINY_PLAN)
         again = ExperimentPlan.from_dict(plan.to_dict())
@@ -401,10 +414,21 @@ class TestCli:
     def test_bad_plan_values_exit_2_before_any_file(self, tmp_path, capsys):
         plan_file = tmp_path / "plan.json"
         out = tmp_path / "exp"
-        for train, named in (({"shots_k": "5"}, "shots_k"), ({"max_evals": 0}, "max_evals")):
-            plan_file.write_text(json.dumps({**TINY_PLAN, "train": train}))
+        for values, named in (
+            ({"train": {"shots_k": "5"}}, "shots_k"), ({"train": {"max_evals": 0}}, "max_evals"),
+            ({"sizes": [[0, 3]]}, "sizes: 0x3"), ({"sizes": [[2, -3]]}, "sizes: 2x-3"),
+            ({"sizes": [-4]}, "sizes: mode count -4"), ({"base_seed": -1}, "base_seed = -1"),
+        ):
+            plan_file.write_text(json.dumps({**TINY_PLAN, **values}))
             assert main(["experiment", "--plan", str(plan_file), "--out", str(out),
                          "--workers", "1"]) == 2
+            assert named in capsys.readouterr().err
+            assert not out.exists()
+        for flags, named in (
+            (["--sizes", "0x3"], "sizes: 0x3"), (["--sizes", "2x-3"], "sizes: 2x-3"),
+            (["--sizes", "-4"], "sizes: mode count -4"), (["--base-seed", "-1"], "base_seed = -1"),
+        ):
+            assert main(["generate", *flags, "--out", str(out)]) == 2
             assert named in capsys.readouterr().err
             assert not out.exists()
 
@@ -413,6 +437,7 @@ class TestCli:
         config = tmp_path / "train.json"
         for values, named in (
             ({"alpha": "0.1"}, "alpha = '0.1'"), ({"thresholds": 0.1}, "thresholds"),
+            ({"seed": -1}, "seed = -1"),
         ):
             config.write_text(json.dumps(values))
             assert main(["train", str(instance), "--config", str(config)]) == 2

@@ -26,7 +26,12 @@ from gbsopt.gaussian import (
     takagi_decompose,
     vacuum_marginal,
 )
-from gbsopt.torontonian import PatternDistribution, all_patterns, pattern_index
+from gbsopt.torontonian import (
+    PatternDistribution,
+    _click_probability,
+    all_patterns,
+    pattern_index,
+)
 
 from oracles import (
     bounded_random_theta,
@@ -38,6 +43,11 @@ from oracles import (
     o_matrix,
     torontonian,
 )
+
+
+#: patterns with an entry outside {0, 1}, and the message naming it
+NOT_ZERO_ONE = [([2, 0], r"0 or 1, got \[2\]"), ([0.5, 0], r"0 or 1, got \[0.5\]"),
+                ([-1, 0], r"0 or 1, got \[-1\]")]
 
 
 def random_state(rng, n, spectral_radius=1.0):
@@ -167,8 +177,11 @@ class TestMpmathReference:
     def test_probabilities_at_40_digits(self, radius):
         rng = np.random.default_rng(int(radius * 10))
         theta = bounded_random_theta(rng, 6, radius)
-        probs = full_distribution(state_from_theta(ThetaMatrix(theta))).probs
-        assert np.abs(probs - mpmath_pattern_probabilities(theta)).max() <= 5e-15
+        state = state_from_theta(ThetaMatrix(theta))
+        want = mpmath_pattern_probabilities(theta)
+        assert np.abs(full_distribution(state).probs - want).max() <= 5e-15
+        direct = [pattern_probability(state, p) for p in all_patterns(6)]
+        assert np.abs(direct - want).max() <= 5e-15
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_every_mode_squeezed_near_five(self, seed):
@@ -229,6 +242,21 @@ class TestPatternProbability:
         state = state_from_theta(ThetaMatrix(np.zeros((2, 2))))
         with pytest.raises(ValueError, match="length"):
             pattern_probability(state, [0, 1, 0])
+        for pattern, named in NOT_ZERO_ONE:
+            with pytest.raises(ValueError, match=named):
+                pattern_probability(state, pattern)
+
+    def test_prefix_marginals_sum_the_distribution(self):
+        # the sampler's marginal of a pattern on modes 0..j-1, every other
+        # mode unconstrained, is the enumerated law summed over those modes
+        rng = np.random.default_rng(89)
+        for n, radius in ((4, 1.0), (5, 2.0), (6, 3.0)):
+            state = random_state(rng, n, radius)
+            probs = full_distribution(state).probs
+            for j in range(1, n + 1):
+                summed = probs.reshape(-1, 1 << j).sum(axis=0)
+                marginals = [_click_probability(state, p) for p in all_patterns(j)]
+                assert np.abs(marginals - summed).max() <= 1e-14
 
 
 class TestFullDistribution:
@@ -310,6 +338,9 @@ class TestFullDistribution:
         assert dist.probability([1, 0]) == dist.probs[1]
         for pattern in ([1], [1, 0, 0]):
             with pytest.raises(ValueError, match="length"):
+                dist.probability(pattern)
+        for pattern, named in NOT_ZERO_ONE:
+            with pytest.raises(ValueError, match=named):
                 dist.probability(pattern)
 
 
