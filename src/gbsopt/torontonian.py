@@ -6,23 +6,21 @@ Every probability here comes from the vacuum marginals
 
 f(empty set) = 1 (Quesada, Arrazola & Killoran, PRA 98, 062322 (2018),
 in the real form of :mod:`gbsopt.gaussian`), by one route,
-:func:`_dark_law`: for dark modes D and free modes S, the table of
-f(D + Z) over all Z subsets of S, turned in place by a superset Moebius
-transform into P(D + Z dark, S - Z clicked, other modes unconstrained).
-Its entry Z = empty, the sum over Z of (-1)^|Z| f(D + Z), is a pattern's
-probability (D and S its dark and clicked modes) or a prefix marginal of
-the sampler (D and S covering a prefix); with D empty and S all modes
-the table is the whole distribution.  Every f comes from the one kernel
-``gaussian.subset_determinants``, at a cost exponential in |S|.  (The
-Torontonian of the 2N x 2N matrix O = I - inv(Sigma) is the same law
-without the real form; ``tests/oracles.py`` keeps it as a reference.)
+:func:`_dark_law`: for a stack of patterns of dark modes D and free modes
+S, the tables of f(D + Z) over all Z subsets of S, one kernel batch per
+size of Z, each turned in place by a superset Moebius transform into
+P(D + Z dark, S - Z clicked, other modes unconstrained).  Its entry
+Z = empty is a pattern's probability (D and S its dark and clicked modes)
+or a prefix marginal of the sampler, which stacks the prefixes of one
+click count; with D empty and S all modes the table is the whole
+distribution.  Every f comes from ``gaussian.subset_determinants``, at a
+cost exponential in |S|.  (``tests/oracles.py`` keeps the Torontonian of
+the 2N x 2N matrix O = I - inv(Sigma), the same law without the real
+form, as a reference.)
 
-Accuracy: every probability is within 1.3e-15 of a 40-digit evaluation
-for random theta up to spectral radius 6, and within 1.2e-14 where one
-mode is squeezed to r = 5.5; see :func:`full_distribution`.  Memory: a
-pattern probability or prefix marginal with k clicks holds a table of
-2^k marginals; :func:`full_distribution` holds tables of 2^N floats and
-one kernel batch of at most ``gaussian.BATCH_BYTES``.
+Accuracy: within 1.3e-15 of a 40-digit evaluation up to spectral radius
+6 (see :func:`full_distribution`).  Memory: a table with k free modes
+holds 2^k floats, and the sampler's stacks at most ``gaussian.BATCH_BYTES``.
 
 Pattern indexing convention: bit i of an integer pattern index is the
 outcome of mode i (index = sum_i d_i * 2^i); every 0/1 row is built by
@@ -30,12 +28,13 @@ outcome of mode i (index = sum_i d_i * 2^i); every 0/1 row is built by
 """
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, InvalidStateError
-from .gaussian import GaussianState, subset_determinants
+from .gaussian import BATCH_BYTES, GaussianState, subset_determinants
 
 __all__ = [
     "pattern_probability",
@@ -107,43 +106,44 @@ def _subset_levels(n):
 
 
 def _vacuum_table(state, dark, free):
-    """f(dark + Z) for every Z subset of ``free``, indexed by Z's bitmask.
-
-    Bit i of the index selects free[i].  The subsets go to the kernel one
-    size at a time, each row being the dark modes followed by Z.
-    """
+    """f(dark[p] + Z) for each row p of the (P, d) and (P, s) stacks and every
+    Z subset of free[p], as a (P, 2^s) table indexed by Z's bitmask (bit i
+    selects free[p, i]).  The subsets go to the kernel one size at a time
+    for the whole stack, each row the dark modes then Z, so every row is
+    bit for bit the one a one-row call gives."""
     dark = np.asarray(dark, dtype=np.uint8)
     free = np.asarray(free, dtype=np.uint8)
-    table = np.ones(1 << free.size)
-    if dark.size:
-        table[0] = 1.0 / np.sqrt(subset_determinants(state.blocks, dark[np.newaxis])[0])
-    for masks, modes in _subset_levels(free.size):
-        rows = free[modes]
-        if dark.size:
-            rows = np.hstack([np.broadcast_to(dark, (len(rows), dark.size)), rows])
-        table[masks] = 1.0 / np.sqrt(subset_determinants(state.blocks, rows))
+    stack, d = dark.shape
+    table = np.ones((stack, 1 << free.shape[1]))
+    if d:
+        table[:, 0] = 1.0 / np.sqrt(subset_determinants(state.blocks, dark))
+    for masks, modes in _subset_levels(free.shape[1]):
+        rows = np.take(free, modes, axis=1)  # faster than free[:, modes]
+        if d:
+            rows = np.concatenate(
+                [np.broadcast_to(dark[:, np.newaxis], (stack, len(masks), d)), rows], axis=2)
+        dets = subset_determinants(state.blocks, rows.reshape(-1, rows.shape[2]))
+        table[:, masks] = 1.0 / np.sqrt(dets.reshape(stack, -1))
     return table
 
 
 def _dark_law(state, dark, free):
-    """P(the modes of dark + Z stay dark, those of free - Z click) for every
-    Z subset of ``free``, indexed like :func:`_vacuum_table`; the other modes
-    are unconstrained.  O(k 2^k) arithmetic on top of the table, k = |free|.
-    """
+    """The (P, 2^s) tables of P(the modes of dark[p] + Z stay dark, those of
+    free[p] - Z click, other modes unconstrained), indexed like
+    :func:`_vacuum_table`: O(P s 2^s) arithmetic on top of its table."""
     table = _vacuum_table(state, dark, free)
-    for i in range(len(free)):
+    for i in range(np.shape(free)[1]):
         # subsets without bit i minus their partners with it, in place
-        pairs = table.reshape(-1, 2, 1 << i)
-        pairs[:, 0] -= pairs[:, 1]
+        pairs = table.reshape(len(table), -1, 2, 1 << i)
+        pairs[:, :, 0] -= pairs[:, :, 1]
     return table
 
 
-def _click_probability(state, pattern):
-    """P(the first len(pattern) modes show the 0/1 ``pattern``), other modes unconstrained."""
-    value = float(_dark_law(state, np.flatnonzero(pattern == 0), np.flatnonzero(pattern))[0])
-    if value < -NEGATIVE_CLAMP:
-        raise InvalidStateError(f"click probability {value} is negative beyond roundoff")
-    return max(value, 0.0)
+def _clamped(probs, what):
+    """``probs`` clipped at zero in place, once none is below -NEGATIVE_CLAMP."""
+    if probs.min() < -NEGATIVE_CLAMP:
+        raise InvalidStateError(f"{what} {probs.min()} negative beyond roundoff")
+    return np.clip(probs, 0.0, None, out=probs)
 
 
 def pattern_probability(state: GaussianState, pattern):
@@ -152,7 +152,9 @@ def pattern_probability(state: GaussianState, pattern):
     A pattern with k clicks costs 2^k subset determinants, of sizes N - k
     to N; the all-zeros pattern costs one.
     """
-    return _click_probability(state, _checked_pattern(pattern, state.n_modes))
+    pattern = _checked_pattern(pattern, state.n_modes)
+    law = _dark_law(state, [np.flatnonzero(pattern == 0)], [np.flatnonzero(pattern)])
+    return float(_clamped(law[:, 0], "pattern probability")[0])
 
 
 @dataclass(frozen=True)
@@ -184,15 +186,13 @@ def full_distribution(state: GaussianState):
     pattern).  Normalization is checked to 1e-9.
 
     Accuracy, against a 40-digit mpmath evaluation of the same law at
-    N = 6 (``pattern_probability``, entry 0 of the same transform on its
-    own dark and clicked modes, does as well): the absolute error of
-    every probability was at most 1.3e-15 for random theta rescaled to a
-    spectral radius (largest squeezing) of 1 to 6, 1.1e-16 with every
-    mode squeezed near r = 5, and up to 1.2e-14 at the ADAM alpha = 1
-    endpoints of the record gate, where one eigenvalue of theta sits near
-    +-5.5 and the rest below 1.3.  The tests hold it to 5e-15 up to
-    radius 4 and to 1e-14 at r = 5 and radius 5.5.  Relative errors on
-    the smallest probabilities are far larger.
+    N = 6 (``pattern_probability`` does as well): every probability was
+    within 1.3e-15 for random theta of spectral radius 1 to 6, 1.1e-16
+    with every mode squeezed near r = 5, and 1.2e-14 at the ADAM alpha = 1
+    endpoints of the record gate (one eigenvalue of theta near +-5.5, the
+    rest below 1.3).  The tests hold it to 5e-15 up to radius 4 and to
+    1e-14 at r = 5 and radius 5.5.  Relative errors on the smallest
+    probabilities are far larger.
 
     Memory: besides two tables of 2^N floats (the marginals, transformed
     in place, and the returned copy) and the cached subset index (1 MiB
@@ -204,11 +204,8 @@ def full_distribution(state: GaussianState):
     if n > ENUMERATION_CAP:
         raise CapacityError(f"{n} modes exceed the enumeration cap {ENUMERATION_CAP}; "
                             "use sample() instead")
-    # the pattern of index x leaves dark the set (2^N - 1) ^ x
-    probs = _dark_law(state, [], np.arange(n))[::-1]
-    if probs.min() < -NEGATIVE_CLAMP:
-        raise InvalidStateError(f"pattern probability {probs.min()} negative beyond roundoff")
-    np.clip(probs, 0.0, None, out=probs)
+    law = _dark_law(state, np.empty((1, 0)), [np.arange(n)])
+    probs = _clamped(law[0, ::-1], "pattern probability")  # index x leaves (2^N - 1) ^ x dark
     total = probs.sum()
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise InvalidStateError(f"distribution sums to {total}, expected 1")
@@ -218,41 +215,44 @@ def full_distribution(state: GaussianState):
 def sample(state: GaussianState, k, seed):
     """Draw k i.i.d. click patterns, exactly, via the mode-by-mode chain rule.
 
-    For each mode j the no-click probability conditioned on the outcomes
-    so far is the ratio of two prefix marginals, the one with mode j dark
-    over the one without mode j; the marginal with mode j clicked is
-    their difference; each marginal is :func:`_dark_law` entry 0 on the
-    prefix's dark and clicked modes, memoized across samples.
-    Deterministic for a given seed.  Returns a (k, N) 0/1 array, one
-    pattern per row.
+    The no-click probability of mode j given the outcomes so far is the
+    ratio of two prefix marginals, the one with mode j dark over the one
+    without mode j; the marginal with mode j clicked is their difference.
+    All k shots advance one mode at a time.  At mode j the shots' distinct
+    prefixes are grouped by click count c, and each group's marginals are
+    entry 0 of one stacked :func:`_dark_law` call (split where its table
+    would pass BATCH_BYTES): per mode, one kernel batch per click count and
+    subset size, 2^c subsets per distinct prefix, so the cost scales with
+    the distinct prefixes, not with k x N.  Deterministic for a given seed;
+    returns a (k, N) 0/1 array, one pattern per row.
     """
-    if k < 1:
-        raise ValueError("sample count must be >= 1")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"sample count must be an integer >= 1, got {k!r}")
     if seed is None:
         raise ValueError("an explicit seed is required")
     n = state.n_modes
-    marginals = {}  # (j, clicks on modes 0..j-1) -> marginal with mode j - 1 dark
-    rng = np.random.default_rng(seed)
-    uniforms = rng.random((k, n))
-    out = np.zeros((k, n), dtype=np.int8)
-    for s in range(k):
-        clicks = 0
-        prev = 1.0
-        for j in range(1, n + 1):
-            m0 = marginals.get((j, clicks))
-            if m0 is None:
-                m0 = marginals[j, clicks] = _click_probability(state, index_to_pattern(clicks, j))
-            p_no_click = m0 / prev
-            if not -1e-9 <= p_no_click <= 1.0 + 1e-9:
-                raise InvalidStateError(
-                    f"conditional no-click probability {p_no_click} outside [0, 1]"
-                )
-            p_no_click = min(max(p_no_click, 0.0), 1.0)
-            if uniforms[s, j - 1] < p_no_click:
-                prev = m0
-            else:
-                # inclusion-exclusion on mode j - 1: clicked = unobserved - dark
-                clicks |= 1 << (j - 1)
-                out[s, j - 1] = 1
-                prev = max(prev - m0, 0.0)
-    return out
+    uniforms = np.random.default_rng(seed).random((k, n))
+    clicks = np.zeros(k, dtype=np.int64)  # bit i: mode i clicked
+    prev = np.ones(k)  # each shot's marginal of its outcomes so far
+    for j in range(n):
+        prefixes, shot_prefix = np.unique(clicks, return_inverse=True)
+        bits = index_to_pattern(prefixes, j + 1)  # mode j dark in every row
+        counts = bits.sum(axis=1)
+        m0 = np.empty(len(prefixes))
+        for c in np.unique(counts):
+            group = np.flatnonzero(counts == c)
+            per_call = max(1, BATCH_BYTES // (8 << c))  # tables of 2^c floats
+            for part in np.split(group, range(per_call, len(group), per_call)):
+                dark = np.nonzero(bits[part] == 0)[1].reshape(len(part), j + 1 - c)
+                free = np.nonzero(bits[part])[1].reshape(len(part), c)
+                m0[part] = _dark_law(state, dark, free)[:, 0]
+        m0 = _clamped(m0, "click probability")[shot_prefix]
+        p_no_click = m0 / prev
+        if not np.all((p_no_click >= -1e-9) & (p_no_click <= 1.0 + 1e-9)):  # NaN fails
+            raise InvalidStateError(f"conditional no-click probabilities span "
+                                    f"[{p_no_click.min()}, {p_no_click.max()}], outside [0, 1]")
+        dark_j = uniforms[:, j] < np.clip(p_no_click, 0.0, 1.0)
+        clicks[~dark_j] |= 1 << j
+        # inclusion-exclusion on mode j: clicked = unobserved - dark
+        prev = np.where(dark_j, m0, np.maximum(prev - m0, 0.0))
+    return index_to_pattern(clicks, n)

@@ -7,6 +7,9 @@ re-implementation.  The covariance references work on the 2N x 2N Husimi
 covariance, not on the package's real N x N blocks: subset determinants
 one LU determinant at a time, the Torontonian of O = I - inv(Sigma), and
 the mpmath reference, which redoes the whole probability law at 40 digits.
+The one exception is :func:`chain_rule_sample`, a shot-by-shot sampler on
+the package's one-row click law, kept so the batched sampler's draws can
+be compared with it bit for bit.
 """
 
 import itertools
@@ -253,3 +256,47 @@ def constraints_bind_by_loops(instance):
     t_min = min(t for t, _ in records)
     tol = 1e-9 * max(1.0, abs(t_min))
     return not any(feasible for t, feasible in records if t <= t_min + tol)
+
+
+def chain_rule_sample(state, k, seed):
+    """k click patterns by the mode-by-mode chain rule, one shot at a time.
+
+    Each prefix marginal is entry 0 of the package's one-row ``_dark_law``
+    (clamped at zero, memoized per prefix); shot s decides mode j from
+    the uniform [s, j] of ``default_rng(seed).random((k, N))``.
+    """
+    from gbsopt.errors import InvalidStateError
+    from gbsopt.torontonian import NEGATIVE_CLAMP, _dark_law, index_to_pattern
+
+    def click_probability(pattern):
+        law = _dark_law(state, [np.flatnonzero(pattern == 0)], [np.flatnonzero(pattern)])
+        value = float(law[0, 0])
+        if value < -NEGATIVE_CLAMP:
+            raise InvalidStateError(f"click probability {value} is negative beyond roundoff")
+        return max(value, 0.0)
+
+    n = state.n_modes
+    marginals = {}  # (j, clicks on modes 0..j-1) -> marginal with mode j - 1 dark
+    uniforms = np.random.default_rng(seed).random((k, n))
+    out = np.zeros((k, n), dtype=np.int8)
+    for s in range(k):
+        clicks = 0
+        prev = 1.0
+        for j in range(1, n + 1):
+            m0 = marginals.get((j, clicks))
+            if m0 is None:
+                m0 = marginals[j, clicks] = click_probability(index_to_pattern(clicks, j))
+            p_no_click = m0 / prev
+            if not -1e-9 <= p_no_click <= 1.0 + 1e-9:
+                raise InvalidStateError(
+                    f"conditional no-click probability {p_no_click} outside [0, 1]"
+                )
+            p_no_click = min(max(p_no_click, 0.0), 1.0)
+            if uniforms[s, j - 1] < p_no_click:
+                prev = m0
+            else:
+                # inclusion-exclusion on mode j - 1: clicked = unobserved - dark
+                clicks |= 1 << (j - 1)
+                out[s, j - 1] = 1
+                prev = max(prev - m0, 0.0)
+    return out

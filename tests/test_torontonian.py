@@ -1,6 +1,7 @@
 """Tests for the threshold-detector probability layer."""
 
 import itertools
+import re
 import tracemalloc
 import types
 
@@ -28,13 +29,14 @@ from gbsopt.gaussian import (
 )
 from gbsopt.torontonian import (
     PatternDistribution,
-    _click_probability,
+    _dark_law,
     all_patterns,
     pattern_index,
 )
 
 from oracles import (
     bounded_random_theta,
+    chain_rule_sample,
     fock_state_amplitudes,
     fock_threshold_probabilities,
     husimi_sigma,
@@ -255,8 +257,23 @@ class TestPatternProbability:
             probs = full_distribution(state).probs
             for j in range(1, n + 1):
                 summed = probs.reshape(-1, 1 << j).sum(axis=0)
-                marginals = [_click_probability(state, p) for p in all_patterns(j)]
-                assert np.abs(marginals - summed).max() <= 1e-14
+                marginals = [_dark_law(state, [np.flatnonzero(p == 0)], [np.flatnonzero(p)])[0, 0]
+                             for p in all_patterns(j)]
+                assert np.abs(np.array(marginals) - summed).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_stacked_rows_match_one_row_calls(self, n):
+        # every pattern of each click count in one stack, against its own call
+        state = random_state(np.random.default_rng(n), n, 1.5)
+        patterns = all_patterns(n)
+        for c in range(n + 1):
+            group = patterns[patterns.sum(axis=1) == c]
+            dark = np.nonzero(group == 0)[1].reshape(len(group), n - c)
+            free = np.nonzero(group)[1].reshape(len(group), c)
+            stacked = _dark_law(state, dark, free)
+            assert stacked.shape == (len(group), 1 << c)
+            for row, d, f in zip(stacked, dark, free):
+                assert np.array_equal(row, _dark_law(state, [d], [f])[0])
 
 
 class TestFullDistribution:
@@ -407,6 +424,42 @@ class TestSample:
             sample(state, 0, seed=1)
         with pytest.raises(ValueError):
             sample(state, 5, seed=None)
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, True, False, np.float64(3.0), "4", None])
+    def test_rejects_count_that_is_not_an_integer(self, k):
+        state = state_from_theta(ThetaMatrix(np.zeros((2, 2))))
+        with pytest.raises(ValueError, match=re.escape(f"got {k!r}")):
+            sample(state, k, seed=1)
+
+    def test_accepts_numpy_integer_count(self):
+        state = random_state(np.random.default_rng(3), 3)
+        assert np.array_equal(sample(state, np.int64(9), seed=4), sample(state, 9, seed=4))
+
+    def test_state_not_positive_definite_on_a_pair_raises(self):
+        # as in TestSubsetDeterminants: Q is not positive definite on modes {0, 2}
+        q = np.eye(3)
+        q[0, 2] = q[2, 0] = 2.0
+        state = GaussianState(np.stack([np.eye(3), q]))
+        with pytest.raises(InvalidStateError, match="not positive definite"):
+            sample(state, 10, seed=1)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("radius", [0.1, 1.0, 3.0])
+    def test_draws_match_shot_by_shot_chain_rule(self, n, radius):
+        state = random_state(np.random.default_rng(100 * n), n, radius)
+        for k in (1, 7, 1000):
+            for seed in (k + n, np.random.SeedSequence(k + n)):
+                assert np.array_equal(sample(state, k, seed), chain_rule_sample(state, k, seed))
+
+    def test_draws_match_when_tables_are_split(self, monkeypatch):
+        # tables of more than BATCH_BYTES go to _dark_law in several stacks
+        monkeypatch.setattr(gbsopt.torontonian, "BATCH_BYTES", 64)
+        state = random_state(np.random.default_rng(6), 6, 2.0)
+        assert np.array_equal(sample(state, 1000, 8), chain_rule_sample(state, 1000, 8))
+
+    def test_draws_match_shot_by_shot_chain_rule_at_12_modes(self):
+        state = random_state(np.random.default_rng(12), 12, 1.0)
+        assert np.array_equal(sample(state, 1000, 5), chain_rule_sample(state, 1000, 5))
 
     def test_heavy_squeezing_still_samples_exactly(self):
         # squeezing parameters beyond 2 stress the conditional ratios

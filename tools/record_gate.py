@@ -5,6 +5,9 @@ Runs, in a temporary directory and with one worker each:
 * four small sweeps (2 x 3 modes, 2 instances, 2 restarts): exact alphas
   [0.1, 1.0] and sampled alpha 0.1 with ``shots_k = 200``, each at base
   seeds 7 and 2023;
+* one sampled sweep at the shape of the ``sampled-tail`` benchmark
+  (2 x 4 modes, 1 instance, 1 restart, alpha 0.1, ``shots_k = 1000``,
+  ``max_evals = 40``, base seed 7);
 * the record of acceptance criterion 9: ``gbsopt generate --sizes 2x3
   --instances 2 --base-seed 99`` and ``gbsopt train <first instance>
   --alpha 0.1 --seed 17``.
@@ -50,6 +53,10 @@ SWEEPS = [
 ] + [
     (f"sampled-b{seed}", {"alphas": [0.1], "base_seed": seed, "train": {"shots_k": 200}})
     for seed in (7, 2023)
+] + [
+    ("sampled8-b7", {"sizes": [[2, 4]], "instances_per_size": 1, "restarts": 1,
+                     "alphas": [0.1], "base_seed": 7,
+                     "train": {"shots_k": 1000, "max_evals": 40}}),
 ]
 SWEEP_BASE = {"sizes": [[2, 3]], "instances_per_size": 2, "restarts": 2,
               "thresholds": [0.1, 0.01]}
