@@ -13,6 +13,11 @@ Training touches only a masked subset of the parameter matrix entries,
 chosen from the smallest QUBO coefficients; everything else stays frozen
 at its random initialization.  The mask size, the initialization scale
 and the ADAM step size are the module constants below.
+
+COBYLA is the only user of scipy, so ``scipy.optimize`` loads on the
+first COBYLA run, not at ``import gbsopt``.  ``_run_cobyla`` calls it
+through the module-level ``minimize`` below, which stays a module global
+because the benchmark's ``optim.minimize`` span rebinds that name.
 """
 
 import math
@@ -22,7 +27,6 @@ from numbers import Integral, Real
 from typing import get_args
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import CapacityError, TrainingFailedError
 from .gaussian import (
@@ -119,6 +123,8 @@ class TrainConfig:
             raise ValueError("adam_steps must be >= 1")
         if self.max_evals is not None and self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
+        if self.max_seconds is not None and not 0.0 < self.max_seconds < math.inf:
+            raise ValueError(f"max_seconds = {self.max_seconds!r} must be finite and > 0")
 
     def resolved(self, n):
         """Fill size-dependent defaults for an N-variable problem."""
@@ -326,6 +332,21 @@ class _Objective:
             self.best_cost = cost
             self.best_params = np.array(params)
         return cost
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    Importing ``scipy.optimize`` takes longer than the rest of ``import
+    gbsopt`` with numpy (0.55 s against 0.2 s on one core of a shared
+    Intel Xeon host); after the first call the import is a
+    ``sys.modules`` lookup.  This is a module-level function, not an
+    import inside ``_run_cobyla``, so that rebinding ``optim.minimize``
+    (the benchmark's ``optim.minimize`` span) still sees every COBYLA run.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def _run_cobyla(objective, x0):

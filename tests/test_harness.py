@@ -215,7 +215,7 @@ class TestRunExperiment:
             verify_report(tmp_path)
 
     def test_timed_out_run_keeps_its_theta(self, tmp_path):
-        report, swept, trained, _ = sweep_then_train(tmp_path, {"max_seconds": 0})
+        report, swept, trained, _ = sweep_then_train(tmp_path, {"max_seconds": 1e-9})
         result = swept["result"]
         assert result["timed_out"] is True and result["error"] == "timeout"
         assert result["n_evals"] == 1
@@ -250,7 +250,11 @@ class TestRunExperiment:
 
     def test_worker_resolution(self):
         assert resolve_workers(3) == 3
+        assert resolve_workers(np.int64(2)) == 2
         assert resolve_workers() >= 1
+        for bad in (0, -5, 2.7, 2.0, True):
+            with pytest.raises(ValueError, match=f"workers = {bad!r} must be an integer >= 1"):
+                resolve_workers(bad)
 
 
 class TestCli:
@@ -418,10 +422,22 @@ class TestCli:
             ({"train": {"shots_k": "5"}}, "shots_k"), ({"train": {"max_evals": 0}}, "max_evals"),
             ({"sizes": [[0, 3]]}, "sizes: 0x3"), ({"sizes": [[2, -3]]}, "sizes: 2x-3"),
             ({"sizes": [-4]}, "sizes: mode count -4"), ({"base_seed": -1}, "base_seed = -1"),
+            ({"train": {"max_seconds": float("nan")}}, "max_seconds = nan"),
+            ({"train": {"max_seconds": -1}}, "max_seconds = -1"),
         ):
             plan_file.write_text(json.dumps({**TINY_PLAN, **values}))
             assert main(["experiment", "--plan", str(plan_file), "--out", str(out),
                          "--workers", "1"]) == 2
+            assert named in capsys.readouterr().err
+            assert not out.exists()
+        plan_file.write_text(json.dumps(TINY_PLAN))
+        for flags, named in (
+            (["--workers", "0"], "workers = 0"), (["--workers", "-5"], "workers = -5"),
+            (["--max-seconds", "inf", "--workers", "1"], "max_seconds = inf"),
+            (["--max-seconds", "0", "--workers", "1"], "max_seconds = 0.0"),
+        ):
+            assert main(["experiment", "--plan", str(plan_file), "--out", str(out),
+                         *flags]) == 2
             assert named in capsys.readouterr().err
             assert not out.exists()
         for flags, named in (
@@ -442,6 +458,11 @@ class TestCli:
             config.write_text(json.dumps(values))
             assert main(["train", str(instance), "--config", str(config)]) == 2
             assert named in capsys.readouterr().err
+        for budget in ("nan", "inf", "0", "-1"):
+            assert main(["train", str(instance), "--alpha", "0.1",
+                         "--max-seconds", budget]) == 2
+            assert f"max_seconds = {float(budget)!r}" in capsys.readouterr().err
+        assert not instance.with_suffix(".record.json").exists()
 
     def test_experiment_flags_override_plan(self, tmp_path):
         plan_file = tmp_path / "plan.json"

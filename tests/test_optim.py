@@ -295,7 +295,7 @@ class TestTrain:
     def test_timeout_is_flagged(self):
         instance = generate_instance(2, 3, seed=41)
         qubo = assemble_qubo(instance)
-        record = train(qubo, TrainConfig(seed=3, alpha=0.1, max_seconds=0.0))
+        record = train(qubo, TrainConfig(seed=3, alpha=0.1, max_seconds=1e-9))
         assert record.timed_out
 
     def test_adam_timeout_is_flagged(self):
@@ -304,7 +304,7 @@ class TestTrain:
         instance = generate_instance(2, 3, seed=41)
         qubo = assemble_qubo(instance)
         record = train(qubo, TrainConfig(seed=3, alpha=1.0, optimizer="adam",
-                                         max_seconds=0.0))
+                                         max_seconds=1e-9))
         mask_size = min(3 * qubo.n, qubo.n * (qubo.n + 1) // 2)
         assert record.timed_out
         assert len(record.cost_trace) == 1
@@ -331,3 +331,8 @@ class TestTrain:
             TrainConfig(seed=1, alpha=0.0)
         with pytest.raises(ValueError):
             TrainConfig(seed=1, optimizer="bfgs")
+
+    @pytest.mark.parametrize("max_seconds", [float("nan"), float("inf"), 0, -1])
+    def test_max_seconds_must_be_finite_and_positive(self, max_seconds):
+        with pytest.raises(ValueError, match=f"max_seconds = {max_seconds!r} must be"):
+            TrainConfig(seed=1, max_seconds=max_seconds)
