@@ -5,8 +5,9 @@ Layers, bottom to top:
 * :mod:`gbsopt.gaussian` — squeezed-vacuum states from a symmetric
   parameter matrix, in real form: a state is the two real N x N blocks
   P = (I + e^{2 theta}) / 2 and Q = (I + e^{-2 theta}) / 2 of its Husimi
-  covariance, built from one ``eigh`` (one batched path for single
-  states and stacks); owns the vacuum marginals
+  covariance, built from one scaled-and-squared Taylor series of
+  e^{+-2 theta} (one batched path for single states and stacks); owns
+  the vacuum marginals
   1 / sqrt(det P_W det Q_W), all from one subset-determinant kernel
   (closed-form 1 x 1 and 2 x 2 minors for the analytic <Q>);
 * :mod:`gbsopt.torontonian` — exact click-pattern probabilities,

@@ -21,17 +21,22 @@ the modes, and
 
     P(no photon on any mode of W) = 1 / sqrt(det P_W det Q_W).
 
-A :class:`GaussianState` is these two N x N blocks, built from one
-``eigh`` of theta with no inverse and no complex arithmetic.  Every
-vacuum marginal of a state comes from one kernel,
+A :class:`GaussianState` is these two N x N blocks, built by
+:func:`covariance_blocks` from matrix products alone: one Taylor series of
+e^{+-2 theta}, kept to degree 19 and scaled and squared row by row, with
+no eigendecomposition, no inverse and no complex arithmetic.  The one
+``eigh`` left is :func:`takagi_decompose`'s, which no probability goes
+through.  Every vacuum marginal of a state comes from one kernel,
 :func:`subset_determinants`; :mod:`gbsopt.torontonian` turns them into
 click probabilities by inclusion-exclusion.  The one- and two-mode
 marginals of a stack of states, which the closed-form <Q> needs, have
 closed forms (:func:`pair_vacuum_marginals`).
 
 Accuracy: both gains (1 + e^{+-2 lam}) / 2 exceed 1/2, so building P and
-Q cancels nothing, and each determinant is the squared product of the
-Cholesky diagonals of positive definite matrices.  The kernel's
+Q cancels nothing: against a 40-digit reference their normwise relative
+error stays below 1e-14 for N <= 16 up to spectral radius 5.5 (tested).
+Each determinant is the squared product of the Cholesky diagonals of
+positive definite matrices.  The kernel's
 det P_W det Q_W agree with one LU determinant per subset of the 2N x 2N
 Sigma to a relative 1e-12 for N <= 12 up to spectral radius 4 (tested);
 the envelope of the resulting probabilities is given in
@@ -40,6 +45,7 @@ floats; the kernel gathers at most BATCH_BYTES of submatrices per batch,
 and their Cholesky factors take as much again.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +67,26 @@ DECOMPOSITION_TOL = 1e-10
 
 #: upper bound on the gathered submatrices of one kernel batch (1 MiB of float64)
 BATCH_BYTES = 1 << 20
+
+
+def _series_chunks():
+    """Taylor coefficients 1/k! of e^A, k = 0..19, for :func:`covariance_blocks`.
+
+    With B = A^2, the even part of the series is sum_j B^j / (2j)! and the
+    odd part is A sum_j B^j / (2j + 1)!, j = 0..9.  Chunk i of part p
+    (0 even, 1 odd) holds the terms j = 3i .. 3i + 2, and j = 9 as well in
+    chunk 2, divided by B^{3i}.  Returns the coefficients of B, B^2 and
+    B^3 in each chunk, shape (3, 2, 3), and those of I, shape (3, 2, 1).
+    """
+    coef = np.zeros((3, 2, 4))
+    for i in range(3):
+        for p in range(2):
+            for j in range(4 if i == 2 else 3):
+                coef[i, p, j] = 1.0 / math.factorial(6 * i + 2 * j + p)
+    return coef[..., 1:], coef[..., :1]
+
+
+_SERIES_CHUNKS, _SERIES_CHUNKS_IDENTITY = _series_chunks()
 
 
 def _frozen_array(a, dtype=None):
@@ -216,18 +242,71 @@ def takagi_decompose(theta):
     return TakagiFactors(unitary=unitary[:, order], squeezings=r[order])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def covariance_blocks(thetas):
     """P and Q of real symmetric matrices on the last two axes, stacked first.
 
     For thetas of shape (..., N, N) the result has shape (2, ..., N, N):
-    P = V diag((1 + e^{2 lam}) / 2) V^T and Q = V diag((1 + e^{-2 lam}) / 2) V^T
-    from one ``eigh``.  Both gains lie above 1/2, so nothing cancels; each
-    block is averaged with its transpose to be exactly symmetric.
+    P = (I + e^X) / 2 and Q = (I + e^{-X}) / 2 for X = 2 theta, from one
+    batched Taylor series with scaling and squaring (Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31 (2009) 970-989).  Each row is scaled by
+    its own s = max(0, ceil(log2 ||X||_1)), so A = X / 2^s has
+    ||A||_1 <= 1 and the series e^A, kept to degree 19, leaves a
+    remainder below e / 20! < 2^-53.  The even and odd parts of the
+    series are polynomials in A^2, evaluated together by Paterson-
+    Stockmeyer on A^2, A^4 and A^6 (SIAM J. Comput. 2 (1973) 60-66), and
+    e^{+-A} = even +- odd are squared s times.  Every step acts on one row
+    at a time, so each row is bit for bit what a one-row call returns.
+    Both blocks are averaged with their transposes to be exactly
+    symmetric.  Against a 40-digit reference, P and Q keep a normwise
+    relative error below 1e-14 up to spectral radius 5.5 (tested).  A row
+    whose e^{+-X} overflows raises InvalidStateError.
     """
-    lam, vec = np.linalg.eigh(thetas)
-    gains = 0.5 + 0.5 * np.exp(np.multiply.outer([2.0, -2.0], lam))
-    blocks = (vec * gains[..., np.newaxis, :]) @ np.swapaxes(vec, -1, -2)
-    return 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
+    thetas = np.asarray(thetas, dtype=float)
+    shape, n = thetas.shape[:-2], thetas.shape[-1]
+    thetas = thetas.reshape((-1, n, n))
+    # s from the exact exponent of ||X||_1 = 2 ||theta||_1 = frac 2^e,
+    # frac in [1/2, 1): ceil(log2) is e, or e - 1 at a power of two.
+    # ThetaMatrix keeps non-finite entries out; any that reach here give
+    # s = 0 and non-finite blocks, which raise below
+    frac, s = np.frexp(2.0 * (np.abs(thetas) @ np.ones(n)).max(axis=-1))
+    s = np.maximum(s - (frac == 0.5), 0)
+    # rows sorted by s, descending, so the rows still squaring are a prefix
+    order = np.argsort(-s, kind="stable")
+    s = s[order]
+    a = thetas[order]
+    a *= np.ldexp(2.0, -s)[:, np.newaxis, np.newaxis]  # A = 2 theta / 2^s
+    # one workspace per row: A^2, A^4, A^6, then one chunk and one product,
+    # each an (even, odd) pair; P and Q end where A^2 and A^4 were
+    work = np.empty((a.shape[0], 7, n, n))
+    powers, chunk, prod = work[:, :3], work[:, 3:5], work[:, 5:]
+    np.matmul(a, a, out=powers[:, 0])
+    np.matmul(powers[:, 0], powers[:, 0], out=powers[:, 1])
+    np.matmul(powers[:, 1], powers[:, 0], out=powers[:, 2])
+    flat_powers, flat_chunk = powers.reshape(-1, 3, n * n), chunk.reshape(-1, 2, n * n)
+    # Horner in A^6 over the chunks of both parts, top chunk first
+    for i in (2, 1, 0):
+        np.matmul(_SERIES_CHUNKS[i], flat_powers, out=flat_chunk)
+        flat_chunk[..., :: n + 1] += _SERIES_CHUNKS_IDENTITY[i]
+        if i < 2:
+            chunk += prod  # the chunks above i, times A^6
+        if i > 0:
+            np.matmul(chunk, powers[:, 2:], out=prod)
+    np.matmul(a, chunk[:, 1], out=prod[:, 0])  # the odd part
+    np.subtract(chunk[:, 0], prod[:, 0], out=chunk[:, 1])
+    chunk[:, 0] += prod[:, 0]  # e^A, then e^{-A}
+    for k in range(s.max(initial=0)):
+        rows = np.count_nonzero(s > k)
+        np.matmul(chunk[:rows], chunk[:rows], out=prod[:rows])
+        chunk[:rows] = prod[:rows]
+    np.add(chunk, np.swapaxes(chunk, -1, -2), out=prod)
+    prod *= 0.25
+    prod.reshape(-1, 2, n * n)[..., :: n + 1] += 0.5
+    if not np.all(np.isfinite(prod)):
+        raise InvalidStateError("e^{+-2 theta} overflows float64")
+    blocks = np.swapaxes(work[:, :2], 0, 1)
+    blocks[:, order] = np.swapaxes(prod, 0, 1)
+    return blocks.reshape((2,) + shape + (n, n))
 
 
 def state_from_theta(theta):

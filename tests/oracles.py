@@ -7,6 +7,8 @@ re-implementation.  The covariance references work on the 2N x 2N Husimi
 covariance, not on the package's real N x N blocks: subset determinants
 one LU determinant at a time, the Torontonian of O = I - inv(Sigma), and
 the mpmath reference, which redoes the whole probability law at 40 digits.
+A second mpmath reference gives the real blocks P and Q themselves, and
+their one- and two-mode vacuum marginals, at 40 digits.
 The one exception is :func:`chain_rule_sample`, a shot-by-shot sampler on
 the package's one-row click law, kept so the batched sampler's draws can
 be compared with it bit for bit.
@@ -235,6 +237,34 @@ def mpmath_pattern_probabilities(theta, dps=40):
             )
             probs.append(float(tor / sqrt_det_sigma))
     return np.array(probs)
+
+
+def mpmath_covariance_blocks(theta, dps=40):
+    """P, Q and the pair vacuum marginals of a real theta at ``dps`` digits.
+
+    P = V diag((1 + e^{2 lam}) / 2) V^T and Q = V diag((1 + e^{-2 lam}) / 2) V^T
+    from mpmath's symmetric eigensolver.  Returns the (2, N, N) blocks, the
+    N one-mode marginals 1 / sqrt(P_ii Q_ii) and the two-mode marginals
+    1 / sqrt((P_ii P_jj - P_ij^2)(Q_ii Q_jj - Q_ij^2)) of the pairs i < j
+    in ``np.triu_indices(N, 1)`` order, each rounded to float64 only at the
+    end.
+    """
+    import mpmath
+
+    n = len(theta)
+    with mpmath.workdps(dps):
+        lam, vec = mpmath.eigsy(mpmath.matrix(np.asarray(theta).tolist()))
+        blocks = [
+            vec * mpmath.diag([(1 + mpmath.exp(sign * 2 * x)) / 2 for x in lam]) * vec.T
+            for sign in (1, -1)
+        ]
+        one = [1 / mpmath.sqrt(blocks[0][i, i] * blocks[1][i, i]) for i in range(n)]
+        two = [
+            1 / mpmath.sqrt(mpmath.fprod(b[i, i] * b[j, j] - b[i, j] ** 2 for b in blocks))
+            for i, j in zip(*np.triu_indices(n, 1))
+        ]
+        floats = np.array([[[float(b[i, j]) for j in range(n)] for i in range(n)] for b in blocks])
+        return floats, np.array([float(x) for x in one]), np.array([float(x) for x in two])
 
 
 def constraints_bind_by_loops(instance):

@@ -18,9 +18,11 @@ from gbsopt import (
     takagi_decompose,
     vacuum_marginal,
 )
+from gbsopt.gaussian import covariance_blocks, pair_vacuum_marginals
+from gbsopt.optim import _analytic_energies
 from gbsopt.torontonian import all_patterns, pattern_probability
 
-from oracles import bounded_random_theta, husimi_sigma
+from oracles import bounded_random_theta, husimi_sigma, mpmath_covariance_blocks
 
 
 class TestThetaMatrix:
@@ -144,6 +146,73 @@ class TestBuildState:
             GaussianState(np.eye(2))
         with pytest.raises(InvalidStateError, match="finite"):
             GaussianState(np.array([[[np.nan]], [[1.0]]]))
+
+
+def theta_at_radius(rng, n, radius):
+    """A random symmetric theta whose largest |eigenvalue| is ``radius``."""
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    theta = (a + a.T) / 2.0
+    theta = theta * (radius / np.abs(np.linalg.eigvalsh(theta)).max())
+    return (theta + theta.T) / 2.0
+
+
+class TestCovarianceBlocks:
+    """The scaled-and-squared Taylor series against a 40-digit reference."""
+
+    @pytest.mark.parametrize("radius", [0.2, 2.0, 5.5])
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    def test_matches_40_digit_reference(self, n, radius):
+        rng = np.random.default_rng(1000 * n + int(10 * radius))
+        stack = np.stack([theta_at_radius(rng, n, radius) for _ in range(3)])
+        stacked = covariance_blocks(stack)
+        one, two = pair_vacuum_marginals(stacked)
+        for row, theta in enumerate(stack):
+            single = covariance_blocks(theta)
+            assert np.array_equal(single, stacked[:, row])
+            want, want_one, want_two = mpmath_covariance_blocks(theta)
+            for got, ref in zip(single, want):
+                assert np.linalg.norm(got - ref, 2) <= 1e-14 * np.linalg.norm(ref, 2)
+            # the eigh route this replaced reached 2.6e-15 on these cases
+            assert np.abs(one[row] - want_one).max() <= 3e-15
+            if n > 1:
+                assert np.abs(two[row] - want_two).max() <= 3e-15
+
+    def test_zero_theta_gives_identity_exactly(self):
+        for n in (1, 2, 8, 16):
+            blocks = covariance_blocks(np.zeros((2, n, n)))
+            assert np.array_equal(blocks, np.broadcast_to(np.eye(n), (2, 2, n, n)))
+
+    def test_rows_match_one_row_calls_bit_for_bit(self):
+        # rows far apart in norm scale and square a different number of times
+        rng = np.random.default_rng(5)
+        stack = np.stack([theta_at_radius(rng, 6, r) for r in (0.01, 5.5, 0.3, 2.0, 0.3, 40.0)])
+        stacked = covariance_blocks(stack.reshape(2, 3, 6, 6))
+        assert stacked.shape == (2, 2, 3, 6, 6)
+        for row, theta in enumerate(stack):
+            assert np.array_equal(covariance_blocks(theta), stacked[:, row // 3, row % 3])
+            assert np.array_equal(state_from_theta(theta).blocks, stacked[:, row // 3, row % 3])
+
+    def test_one_mode_closed_form(self):
+        for t in (-5.5, -0.7, 0.0, 0.3, 2.0, 5.5):
+            p, q = covariance_blocks(np.array([[t]]))[:, 0, 0]
+            # four squarings at |t| = 5.5 double the roundoff four times
+            assert p == pytest.approx((1 + np.exp(2 * t)) / 2, rel=1e-14)
+            assert q == pytest.approx((1 + np.exp(-2 * t)) / 2, rel=1e-14)
+
+    @pytest.mark.parametrize("theta", [
+        theta_at_radius(np.random.default_rng(400), 4, 400.0),
+        np.diag([400.0, 0.0, 0.0]),  # one mode overflows; the others stay finite
+    ])
+    def test_overflow_raises(self, theta):
+        n = len(theta)
+        with pytest.raises(InvalidStateError, match="overflows"):
+            state_from_theta(ThetaMatrix(theta))
+        with pytest.raises(InvalidStateError, match="overflows"):
+            expected_energy_analytic(QuboProblem(q=np.eye(n)), state_from_theta(theta))
+        # one overflowing row in a stack raises rather than giving a NaN cost
+        stack = np.stack([np.zeros((n, n)), theta, 0.1 * np.eye(n)])
+        with pytest.raises(InvalidStateError, match="overflows"):
+            _analytic_energies(stack, QuboProblem(q=np.eye(n)))
 
 
 class TestVacuumMarginal:

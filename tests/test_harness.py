@@ -247,6 +247,9 @@ class TestRunExperiment:
         assert len(errored) == 1
         assert "synthetic failure" in errored[0]["error"]
         assert errored[0]["final_fidelity"] == 0.0
+        squeezings = [json.loads(f.read_text())["metadata"]["max_squeezing"]
+                      for f in sorted((tmp_path / "runs").glob("*.json"))]
+        assert squeezings.count(None) == 1
 
     def test_worker_resolution(self):
         assert resolve_workers(3) == 3
@@ -315,6 +318,28 @@ class TestCli:
         assert state_fidelity(theta, truth) == pytest.approx(
             record["result"]["final_fidelity"], abs=1e-10
         )
+
+    def test_record_metadata_names_max_squeezing(self, tmp_path):
+        # the commands of acceptance criterion 9
+        out = tmp_path / "inst"
+        assert main(["generate", "--sizes", "2x3", "--instances", "2",
+                     "--base-seed", "99", "--out", str(out)]) == 0
+        instance = sorted(out.glob("*.json"))[0]
+        records = []
+        for name in ("a.json", "b.json"):
+            assert main(["train", str(instance), "--alpha", "0.1", "--seed", "17",
+                         "--out", str(tmp_path / name)]) == 0
+            records.append(json.loads((tmp_path / name).read_text()))
+        theta = np.array(records[0]["result"]["best_theta"])
+        assert records[0]["metadata"]["max_squeezing"] == pytest.approx(
+            np.abs(np.linalg.eigvalsh(theta)).max(), rel=1e-12)
+        assert records[1]["metadata"]["max_squeezing"] == records[0]["metadata"]["max_squeezing"]
+        # it lives outside the canonical bytes, so criterion 9 reads the same record
+        bare = dict(records[0], metadata={k: v for k, v in records[0]["metadata"].items()
+                                          if k != "max_squeezing"})
+        assert canonical_record_bytes(bare) == canonical_record_bytes(records[0])
+        assert canonical_record_bytes(records[0]) == canonical_record_bytes(records[1])
+        assert b"max_squeezing" not in canonical_record_bytes(records[0])
 
     def test_train_record_matches_sweep_record(self, tmp_path):
         assert set(ExperimentPlan().train) == (

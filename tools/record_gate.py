@@ -8,6 +8,9 @@ Runs, in a temporary directory and with one worker each:
 * one sampled sweep at the shape of the ``sampled-tail`` benchmark
   (2 x 4 modes, 1 instance, 1 restart, alpha 0.1, ``shots_k = 1000``,
   ``max_evals = 40``, base seed 7);
+* one ADAM sweep at the shape of the ``analytic-mean`` benchmark
+  (4 x 4 modes, 1 instance, 1 restart, alpha 1.0, ``adam_steps = 100``,
+  base seed 7), which runs the batched closed-form <Q>;
 * the record of acceptance criterion 9: ``gbsopt generate --sizes 2x3
   --instances 2 --base-seed 99`` and ``gbsopt train <first instance>
   --alpha 0.1 --seed 17``.
@@ -57,6 +60,8 @@ SWEEPS = [
     ("sampled8-b7", {"sizes": [[2, 4]], "instances_per_size": 1, "restarts": 1,
                      "alphas": [0.1], "base_seed": 7,
                      "train": {"shots_k": 1000, "max_evals": 40}}),
+    ("analytic16-b7", {"sizes": [[4, 4]], "instances_per_size": 1, "restarts": 1,
+                       "alphas": [1.0], "base_seed": 7, "train": {"adam_steps": 100}}),
 ]
 SWEEP_BASE = {"sizes": [[2, 3]], "instances_per_size": 2, "restarts": 2,
               "thresholds": [0.1, 0.01]}
