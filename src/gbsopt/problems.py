@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, GenerationError
 from .gaussian import _frozen_array
-from .torontonian import index_to_pattern
+from .torontonian import BRUTE_FORCE_CAP, index_to_pattern
 
 __all__ = [
     "FgaInstance",
@@ -34,9 +34,6 @@ __all__ = [
     "load_instance",
     "instance_filename",
 ]
-
-#: exhaustive enumeration over {0,1}^N is refused above this size
-BRUTE_FORCE_CAP = 20
 
 INSTANCE_FORMAT_VERSION = 1
 

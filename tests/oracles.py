@@ -299,8 +299,8 @@ def chain_rule_sample(state, k, seed):
     from gbsopt.torontonian import NEGATIVE_CLAMP, _dark_law, index_to_pattern
 
     def click_probability(pattern):
-        law = _dark_law(state, [np.flatnonzero(pattern == 0)], [np.flatnonzero(pattern)])
-        value = float(law[0, 0])
+        law = _dark_law(state, np.flatnonzero(pattern == 0), np.flatnonzero(pattern))
+        value = float(law[0])
         if value < -NEGATIVE_CLAMP:
             raise InvalidStateError(f"click probability {value} is negative beyond roundoff")
         return max(value, 0.0)

@@ -4,6 +4,7 @@ import itertools
 import re
 import tracemalloc
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -156,6 +157,29 @@ class TestSubsetDeterminants:
         with pytest.raises(InvalidStateError, match="not positive definite"):
             subset_determinants(state.blocks, [[0, 1], [2, 0]])
 
+    def test_identity_border_pads_rows_of_every_size(self):
+        # [[P, 0], [0, I]] and [[Q, 0], [0, I]]: each subset W padded to N
+        # with border modes has the determinants of W alone, as the sampler
+        # relies on to send rows of all sizes to one call
+        for n, radius in ((6, 1.0), (10, 2.0), (10, 4.0)):
+            state = random_state(np.random.default_rng(500 + n), n, radius)
+            bordered = np.zeros((2, 2 * n, 2 * n))
+            bordered[:, :n, :n] = state.blocks
+            bordered[:, n:, n:] = np.eye(n)
+            rows = [np.concatenate([np.flatnonzero(p), n + np.arange(n - p.sum())])
+                    for p in all_patterns(n)[1:]]
+            got = subset_determinants(bordered, rows)
+            want = all_subset_determinants(state)[1:]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        # not positive definite on modes {0, 2}, padded or not
+        q = np.eye(3)
+        q[0, 2] = q[2, 0] = 2.0
+        bordered = np.eye(6)[np.newaxis].repeat(2, axis=0)
+        bordered[1, :3, :3] = q
+        assert subset_determinants(bordered, [[0, 1, 3], [1, 2, 3]]).tolist() == [1, 1]
+        with pytest.raises(InvalidStateError, match="not positive definite"):
+            subset_determinants(bordered, [[0, 1, 3], [0, 2, 3]])
+
     def test_memory_stays_within_batches_at_16_modes(self):
         state = random_state(np.random.default_rng(16), 16, 1.0)
         full_distribution(state)  # builds the cached subset index
@@ -257,23 +281,9 @@ class TestPatternProbability:
             probs = full_distribution(state).probs
             for j in range(1, n + 1):
                 summed = probs.reshape(-1, 1 << j).sum(axis=0)
-                marginals = [_dark_law(state, [np.flatnonzero(p == 0)], [np.flatnonzero(p)])[0, 0]
+                marginals = [_dark_law(state, np.flatnonzero(p == 0), np.flatnonzero(p))[0]
                              for p in all_patterns(j)]
                 assert np.abs(np.array(marginals) - summed).max() <= 1e-14
-
-    @pytest.mark.parametrize("n", [3, 6, 8])
-    def test_stacked_rows_match_one_row_calls(self, n):
-        # every pattern of each click count in one stack, against its own call
-        state = random_state(np.random.default_rng(n), n, 1.5)
-        patterns = all_patterns(n)
-        for c in range(n + 1):
-            group = patterns[patterns.sum(axis=1) == c]
-            dark = np.nonzero(group == 0)[1].reshape(len(group), n - c)
-            free = np.nonzero(group)[1].reshape(len(group), c)
-            stacked = _dark_law(state, dark, free)
-            assert stacked.shape == (len(group), 1 << c)
-            for row, d, f in zip(stacked, dark, free):
-                assert np.array_equal(row, _dark_law(state, [d], [f])[0])
 
 
 class TestFullDistribution:
@@ -452,14 +462,59 @@ class TestSample:
                 assert np.array_equal(sample(state, k, seed), chain_rule_sample(state, k, seed))
 
     def test_draws_match_when_tables_are_split(self, monkeypatch):
-        # tables of more than BATCH_BYTES go to _dark_law in several stacks
+        # prefix tables of more than BATCH_BYTES go to _prefix_marginals in
+        # several parts, and some mode must take more than one
         monkeypatch.setattr(gbsopt.torontonian, "BATCH_BYTES", 64)
+        modes = []
+        part = gbsopt.torontonian._prefix_marginals
+
+        def counted(bordered, vacuum, prefixes, bits):
+            modes.append(bits.shape[1])
+            return part(bordered, vacuum, prefixes, bits)
+
+        monkeypatch.setattr(gbsopt.torontonian, "_prefix_marginals", counted)
         state = random_state(np.random.default_rng(6), 6, 2.0)
         assert np.array_equal(sample(state, 1000, 8), chain_rule_sample(state, 1000, 8))
+        assert max(Counter(modes).values()) > 1
 
     def test_draws_match_shot_by_shot_chain_rule_at_12_modes(self):
         state = random_state(np.random.default_rng(12), 12, 1.0)
         assert np.array_equal(sample(state, 1000, 5), chain_rule_sample(state, 1000, 5))
+
+    def test_draws_match_shot_by_shot_chain_rule_at_10_modes_radius_2(self):
+        # many prefixes of one mode share subsets here
+        state = random_state(np.random.default_rng(10), 10, 2.0)
+        assert np.array_equal(sample(state, 1000, 6), chain_rule_sample(state, 1000, 6))
+
+    def test_each_subset_goes_to_the_kernel_once_per_mode(self, monkeypatch):
+        seen = Counter()
+        kernel = gbsopt.torontonian.subset_determinants
+
+        def counted(blocks, rows):
+            for row in np.asarray(rows).tolist():
+                real = tuple(m for m in row if m < 12)  # drop the border modes
+                seen[max(real), real] += 1  # mode j is the largest of W + {j}
+            return kernel(blocks, rows)
+
+        monkeypatch.setattr(gbsopt.torontonian, "subset_determinants", counted)
+        sample(random_state(np.random.default_rng(12), 12, 2.0), 1000, 7)
+        assert len(seen) > 1000
+        assert max(seen.values()) == 1
+
+    def test_memory_stays_flat_at_16_modes(self):
+        state = random_state(np.random.default_rng(16), 16, 2.0)
+        tracemalloc.start()
+        try:
+            sample(state, 1000, 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
+
+    def test_capacity_error_above_20_modes(self):
+        state = state_from_theta(ThetaMatrix(np.zeros((21, 21))))
+        with pytest.raises(CapacityError, match="21 modes exceed the sampling cap 20"):
+            sample(state, 10, seed=1)
 
     def test_heavy_squeezing_still_samples_exactly(self):
         # squeezing parameters beyond 2 stress the conditional ratios

@@ -8,6 +8,9 @@ Runs, in a temporary directory and with one worker each:
 * one sampled sweep at the shape of the ``sampled-tail`` benchmark
   (2 x 4 modes, 1 instance, 1 restart, alpha 0.1, ``shots_k = 1000``,
   ``max_evals = 40``, base seed 7);
+* one sampled sweep at 12 modes (3 x 4 modes, 1 instance, 1 restart,
+  alpha 0.1, ``shots_k = 1000``, ``max_evals = 38``, base seed 7), whose
+  prefixes share vacuum marginals within each mode of the sampler;
 * one ADAM sweep at the shape of the ``analytic-mean`` benchmark
   (4 x 4 modes, 1 instance, 1 restart, alpha 1.0, ``adam_steps = 100``,
   base seed 7), which runs the batched closed-form <Q>;
@@ -60,6 +63,9 @@ SWEEPS = [
     ("sampled8-b7", {"sizes": [[2, 4]], "instances_per_size": 1, "restarts": 1,
                      "alphas": [0.1], "base_seed": 7,
                      "train": {"shots_k": 1000, "max_evals": 40}}),
+    ("sampled12-b7", {"sizes": [[3, 4]], "instances_per_size": 1, "restarts": 1,
+                      "alphas": [0.1], "base_seed": 7,
+                      "train": {"shots_k": 1000, "max_evals": 38}}),
     ("analytic16-b7", {"sizes": [[4, 4]], "instances_per_size": 1, "restarts": 1,
                        "alphas": [1.0], "base_seed": 7, "train": {"adam_steps": 100}}),
 ]
