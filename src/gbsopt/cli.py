@@ -23,7 +23,7 @@ from .harness import (
     write_instances,
     write_record,
 )
-from .optim import DEFAULT_THRESHOLDS, TrainConfig, train
+from .optim import DEFAULT_THRESHOLDS, TrainConfig, checked_thresholds, train
 from .problems import assemble_qubo, brute_force_solve, load_instance
 
 EXIT_OK = 0
@@ -126,10 +126,7 @@ def cmd_train(args):
     flag_values = {key: getattr(args, key) for key in _TRAIN_DEFAULTS}
     flag_values["thresholds"] = _parse_floats(args.thresholds) if args.thresholds else None
     values = _merged(_TRAIN_DEFAULTS, file_cfg, flag_values)
-    try:
-        thresholds = tuple(float(t) for t in values.pop("thresholds"))
-    except TypeError as exc:
-        raise ValueError(f"thresholds must be a list of numbers: {exc}") from exc
+    thresholds = checked_thresholds(values.pop("thresholds"))
 
     instance_path = Path(args.instance)
     instance = load_instance(instance_path.read_text())

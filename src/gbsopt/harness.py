@@ -37,7 +37,13 @@ import numpy as np
 
 from .errors import CapacityError, GbsOptError
 from .gaussian import takagi_decompose
-from .optim import DEFAULT_THRESHOLDS, TrainConfig, check_field_types, train
+from .optim import (
+    DEFAULT_THRESHOLDS,
+    TrainConfig,
+    check_field_types,
+    checked_thresholds,
+    train,
+)
 from .problems import (
     BRUTE_FORCE_CAP,
     FgaInstance,
@@ -83,13 +89,19 @@ def default_sizes():
     return tuple(size_to_flights_gates(n) for n in (6, 8, 10, 12, 14, 16))
 
 
+def _is_integer(value):
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _normalize_sizes(sizes):
     out = []
     for entry in sizes:
-        if isinstance(entry, int):
+        if _is_integer(entry):
             if entry < 1:
                 raise ValueError(f"sizes: mode count {entry} is below 1")
-            entry = size_to_flights_gates(entry)
+            entry = size_to_flights_gates(int(entry))
+        elif not isinstance(entry, (list, tuple)) or not all(_is_integer(v) for v in entry):
+            raise ValueError(f"sizes: {entry!r} is not a mode count or a pair of integers")
         f, g = (int(v) for v in entry)
         if f < 1 or g < 1:
             raise ValueError(f"sizes: {f}x{g} needs at least one flight and one gate")
@@ -122,9 +134,9 @@ class ExperimentPlan:
         try:
             object.__setattr__(self, "sizes", _normalize_sizes(self.sizes))
             object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-            object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
         except TypeError as exc:
-            raise ValueError(f"malformed sizes, alphas or thresholds: {exc}") from exc
+            raise ValueError(f"malformed sizes or alphas: {exc}") from exc
+        object.__setattr__(self, "thresholds", checked_thresholds(self.thresholds))
         check_field_types(self)
         if self.instances_per_size < 1 or self.restarts < 1:
             raise ValueError("instance and restart counts must be >= 1")
@@ -389,7 +401,7 @@ def resolve_workers(workers=None):
     raises ValueError."""
     if workers is None:
         return max(1, os.cpu_count() or 1)
-    if isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1:
+    if not _is_integer(workers) or workers < 1:
         raise ValueError(f"workers = {workers!r} must be an integer >= 1")
     return int(workers)
 

@@ -87,6 +87,19 @@ def check_field_types(obj):
             raise ValueError(f"{f.name} = {value!r} is not of type {names}")
 
 
+def checked_thresholds(thresholds):
+    """``thresholds`` as a tuple of floats, each a finite t with 0 <= t < 1
+    (a fidelity above t counts as success); ValueError otherwise."""
+    try:
+        values = tuple(float(t) for t in thresholds)
+    except TypeError as exc:
+        raise ValueError(f"thresholds must be a list of numbers: {exc}") from exc
+    for t in values:
+        if not 0.0 <= t < 1.0:  # NaN fails
+            raise ValueError(f"threshold {t!r} must be finite with 0 <= t < 1")
+    return values
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Resolved knobs for one training run.

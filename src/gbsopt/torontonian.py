@@ -11,19 +11,22 @@ superset Moebius transform of :func:`_superset_transform`: over a table
 of f(D + Z) for Z the subsets of S, it gives P(D + Z dark, S - Z
 clicked, other modes unconstrained).  Its entry Z = empty is the
 probability of dark modes D and clicked modes S.  :func:`_dark_law`
-builds one such table (one kernel batch per size of Z) for
-``pattern_probability`` (D and S a pattern's dark and clicked modes) and
-``full_distribution`` (D empty, S all modes: the whole distribution), at
-a cost exponential in |S|.  The sampler's prefix marginals are entry 0
-of the same transform over tables it gathers from one table of f per
-mode, in which each f(W) is computed once (see :func:`sample`).
+builds one such table (one kernel batch per size of Z), at a cost
+exponential in |S|, for its three callers:
+
+* ``pattern_probability``: D and S a pattern's dark and clicked modes;
+* ``full_distribution``: D empty, S all modes, the whole distribution;
+* ``sample``: at mode j, D = {j} and S the modes below j; entry Z is the
+  marginal of every shot whose dark modes below j are Z, with mode j
+  dark, and only the supersets of the entries read are computed.
+
 (``tests/oracles.py`` keeps the Torontonian of the 2N x 2N matrix
 O = I - inv(Sigma), the same law without the real form, as a reference.)
 
 Accuracy: within 1.3e-15 of a 40-digit evaluation up to spectral radius
 6 (see :func:`full_distribution`).  Memory: a table with k free modes
-holds 2^k floats; the sampler holds a table of 2^(N-1) floats at its
-last mode and parts of at most ``gaussian.BATCH_BYTES``.
+holds 2^k floats, and the subset levels of each size up to k are cached
+(17 MiB in all at k = 19, the sampler's last mode at 20 modes).
 
 Pattern indexing convention: bit i of an integer pattern index is the
 outcome of mode i (index = sum_i d_i * 2^i); every 0/1 row is built by
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvalidStateError
-from .gaussian import BATCH_BYTES, GaussianState, subset_determinants
+from .gaussian import GaussianState, subset_determinants
 
 __all__ = [
     "pattern_probability",
@@ -92,22 +95,23 @@ def _checked_pattern(pattern, n_modes):
 
 @functools.lru_cache(maxsize=None)
 def _subset_levels(n):
-    """Subsets of [n] grouped by size k = 1..n, as (masks, modes) pairs.
+    """Subsets of [n] grouped by size k = 0..n, as (masks, modes) pairs.
 
-    ``masks`` holds the bitmasks of size k in ascending order; row r of
-    ``modes`` lists the k modes of masks[r].  uint8 keeps the cache small;
-    the arrays are read-only, since every caller shares them.
+    ``masks`` holds the int64 bitmasks of size k in ascending order; row r
+    of ``modes`` lists the k modes of masks[r] in ascending order.  Level k
+    of [n] is level k of [n - 1] followed by level k - 1 of [n - 1] with
+    mode n - 1 added, so no (2^n, n) table is ever built.  uint8 keeps the
+    cache small; the arrays are read-only, since every caller shares them.
     """
-    masks = np.arange(1 << n)
-    bits = index_to_pattern(masks, n)
-    sizes = bits.sum(axis=1)
-    levels = []
-    for k in range(1, n + 1):
-        level = masks[sizes == k]
-        modes = np.nonzero(bits[level])[1].reshape(level.size, k).astype(np.uint8)
-        level.setflags(write=False)
-        modes.setflags(write=False)
-        levels.append((level, modes))
+    levels = [(np.zeros(1, dtype=np.int64), np.zeros((1, 0), dtype=np.uint8))]
+    below = _subset_levels(n - 1) if n else ()
+    empty = (np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.uint8))  # n-sets of [n - 1]
+    for (out_masks, out_modes), (in_masks, in_modes) in zip(below[1:] + (empty,), below):
+        top = np.full((len(in_masks), 1), n - 1, dtype=np.uint8)
+        levels.append((np.concatenate([out_masks, in_masks | (1 << (n - 1))]),
+                       np.concatenate([out_modes, np.concatenate([in_modes, top], axis=1)])))
+    for array in (a for level in levels for a in level):
+        array.setflags(write=False)
     return tuple(levels)
 
 
@@ -121,18 +125,31 @@ def _superset_transform(table):
     return table
 
 
-def _dark_law(state, dark, free):
+def _dark_law(state, dark, free, reads=None):
     """The table of P(the modes of dark + Z stay dark, those of free - Z
     click, other modes unconstrained) for every Z subset of ``free``, as
     2^s floats indexed by Z's bitmask (bit i selects free[i]): the superset
     transform of the table of f(dark + Z), whose subsets go to the kernel
-    one size at a time, each row the dark modes then Z."""
+    one size at a time, each row the dark modes then Z.
+
+    ``reads`` (bitmasks, private to :func:`sample`) names the only entries
+    the caller reads.  Entry Z of the transform reads only the supersets
+    of Z, so f is computed for those supersets alone; the other entries
+    are left meaningless.
+    """
     dark = np.asarray(dark, dtype=np.uint8)
     free = np.asarray(free, dtype=np.uint8)
     table = np.ones(1 << free.size)
-    if dark.size:
-        table[0] = 1.0 / np.sqrt(subset_determinants(state.blocks, dark[np.newaxis])[0])
-    for masks, modes in _subset_levels(free.size):
+    if reads is not None:  # their upward closure: the entries whose f is needed
+        needed = np.zeros(table.size, dtype=bool)
+        needed[reads] = True
+        for i in range(free.size):
+            pairs = needed.reshape(-1, 2, 1 << i)
+            pairs[:, 1] |= pairs[:, 0]  # subsets with bit i, from those without it
+    for masks, modes in _subset_levels(free.size)[0 if dark.size else 1:]:
+        if reads is not None:
+            keep = needed[masks]
+            masks, modes = masks[keep], modes[keep]
         rows = free[modes]
         if dark.size:
             rows = np.concatenate([np.broadcast_to(dark, (len(masks), dark.size)), rows], axis=1)
@@ -196,10 +213,11 @@ def full_distribution(state: GaussianState):
     probabilities are far larger.
 
     Memory: besides two tables of 2^N floats (the marginals, transformed
-    in place, and the returned copy) and the cached subset index (1 MiB
-    at N = 16), the kernel holds one batch of gathered submatrices, at
-    most BATCH_BYTES (1 MiB), and its Cholesky factors at a time, whatever
-    the size of the largest level (C(16, 8) subsets at N = 16).
+    in place, and the returned copy) and the cached subset levels of every
+    size up to N (1.9 MiB at N = 16), the kernel holds one batch of
+    gathered submatrices, at most BATCH_BYTES (1 MiB), and its Cholesky
+    factors at a time, whatever the size of the largest level (C(16, 8)
+    subsets at N = 16).
     """
     n = state.n_modes
     if n > ENUMERATION_CAP:
@@ -213,61 +231,25 @@ def full_distribution(state: GaussianState):
     return PatternDistribution(n_modes=n, probs=probs)
 
 
-def _prefix_marginals(bordered, vacuum, prefixes, bits):
-    """Marginals of click prefixes on modes 0..j, each with mode j dark.
-
-    ``prefixes`` are bitmasks below j, sorted by click count, and ``bits``
-    their (P, j) patterns.  The marginal of a prefix with dark modes D
-    (mode j among them) and clicked modes S is entry 0 of the superset
-    transform of its table of f(D + Z) over the Z subsets of S (bit i of Z
-    selects the i-th clicked mode), one (P_c, 2^c) table per click count
-    c, read from ``vacuum``: f(W + {j}) by the bitmask of W below j, NaN
-    where not yet computed.  The subsets no earlier call computed go to
-    the kernel in one call on ``bordered`` (P and Q with an identity
-    border on the N - 1 modes after the N real ones), each row W + {j} in
-    ascending order, padded to j + 1 with border modes.
-    """
-    j = bits.shape[1]
-    counts = bits.sum(axis=1)
-    tables = []
-    for c in np.unique(counts):
-        group = counts == c
-        subsets = (~prefixes[group] & ((1 << j) - 1))[:, np.newaxis]  # Z empty
-        free = np.nonzero(bits[group])[1].reshape(len(subsets), c)
-        for i in range(c):
-            subsets = np.concatenate([subsets, subsets | (1 << free[:, i:i + 1])], axis=1)
-        tables.append(subsets)
-    new = np.concatenate([t[np.isnan(vacuum[t])] for t in tables])
-    if new.size:
-        new = np.unique(new)
-        n = (bordered.shape[1] + 1) // 2
-        modes = np.arange(j + 1, dtype=np.uint8)
-        in_w = index_to_pattern(new | (1 << j), j + 1)
-        rows = np.sort(np.where(in_w, modes, modes + n), axis=1)  # W + {j}, then border
-        vacuum[new] = 1.0 / np.sqrt(subset_determinants(bordered, rows))
-    return np.concatenate([_superset_transform(vacuum[t])[:, 0] for t in tables])
-
-
 def sample(state: GaussianState, k, seed):
     """Draw k i.i.d. click patterns, exactly, via the mode-by-mode chain rule.
 
     The no-click probability of mode j given the outcomes so far is the
     ratio of two prefix marginals, the one with mode j dark over the one
     without mode j; the marginal with mode j clicked is their difference.
-    All k shots advance one mode at a time.  At mode j the shots' distinct
-    prefixes, sorted by click count c, are split into parts whose subset
-    tables (2^c entries a prefix) fill about BATCH_BYTES at most, and
-    :func:`_prefix_marginals` gives each part's marginals.  The vacuum
-    marginals f(W + {j}) that the prefixes share sit in one table of 2^j
-    floats per mode, each computed once, by one kernel call per part.  So
-    mode j costs at most 2^j subset determinants of size j + 1, however
-    many prefixes and shots ask for them, plus O(c 2^c) arithmetic per
-    distinct prefix.  The marginals agree with entry 0 of the one-row
-    :func:`_dark_law` to roundoff, and the draws are those of the
-    shot-by-shot ``tests/oracles.py:chain_rule_sample`` in every tested
-    case.  Memory: that table (4 MiB at N = 20), one part's tables and one
-    kernel batch; under tracemalloc, 1000 shots at spectral radius 2 peak
-    at 5.5 MB at N = 16 and 14 MB at N = 20.
+    All k shots advance one mode at a time.  At mode j the marginals with
+    mode j dark are the entries of one table, ``_dark_law(state, [j],
+    arange(j))``, read at the bitmask of each shot's dark modes below j.
+    Its vacuum marginals f(W + {j}) are computed only for the supersets of
+    the entries read, each once, so mode j costs at most 2^j subset
+    determinants of size up to j + 1, however many shots ask for them,
+    plus O(j 2^j) arithmetic for the closure and the transform.  The
+    draws are those of the shot-by-shot
+    ``tests/oracles.py:chain_rule_sample`` in every tested case.  Memory:
+    that table (4 MiB at N = 20) and the cached subset levels; under
+    tracemalloc, 1000 shots peak at 4.0 MB at N = 16 and spectral radius
+    2 (levels cached), and at 28 MB at N = 20 near the training start
+    (every level built inside the trace).
     Deterministic for a given seed; returns a (k, N) 0/1 array, one
     pattern per row.  Above BRUTE_FORCE_CAP modes raises CapacityError.
     """
@@ -278,28 +260,13 @@ def sample(state: GaussianState, k, seed):
     n = state.n_modes
     if n > BRUTE_FORCE_CAP:
         raise CapacityError(f"{n} modes exceed the sampling cap {BRUTE_FORCE_CAP}")
-    # [[P, 0], [0, I]] and [[Q, 0], [0, I]]: a row of any size pads to j + 1
-    # with border modes, and [[P_W, 0], [0, I]] is positive definite
-    # exactly when P_W is, so the kernel's check still holds
-    bordered = np.zeros((2, 2 * n - 1, 2 * n - 1))
-    bordered[:, :n, :n] = state.blocks
-    bordered[:, n:, n:] = np.eye(n - 1)
     uniforms = np.random.default_rng(seed).random((k, n))
     clicks = np.zeros(k, dtype=np.int64)  # bit i: mode i clicked
     prev = np.ones(k)  # each shot's marginal of its outcomes so far
     for j in range(n):
-        prefixes, shot_prefix = np.unique(clicks, return_inverse=True)
-        bits = index_to_pattern(prefixes, j)
-        counts = bits.sum(axis=1)
-        order = np.argsort(counts, kind="stable")
-        # a new part where the running size of the tables passes a multiple
-        # of BATCH_BYTES, so a part holds at most that plus one table
-        ends = np.cumsum(8 << counts[order]) // BATCH_BYTES
-        vacuum = np.full(1 << j, np.nan)
-        m0 = np.empty(len(prefixes))
-        for part in np.split(order, np.flatnonzero(np.diff(ends)) + 1):
-            m0[part] = _prefix_marginals(bordered, vacuum, prefixes[part], bits[part])
-        m0 = _clamped(m0, "click probability")[shot_prefix]
+        dark = ~clicks & ((1 << j) - 1)  # each shot's dark modes below j
+        law = _dark_law(state, [j], np.arange(j), reads=dark)
+        m0 = _clamped(law[dark], "click probability")
         p_no_click = m0 / prev
         if not np.all((p_no_click >= -1e-9) & (p_no_click <= 1.0 + 1e-9)):  # NaN fails
             raise InvalidStateError(f"conditional no-click probabilities span "

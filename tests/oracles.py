@@ -157,6 +157,21 @@ def naive_subset_determinants(a, n):
     return dets
 
 
+def enumerated_subset_levels(n):
+    """Subsets of [n] grouped by size k = 0..n, as (masks, modes) pairs,
+    from one (2^n, n) table of bits: the int64 bitmasks of size k in
+    ascending order, and per mask its k modes in ascending order (uint8)."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    bits = (masks[:, np.newaxis] >> np.arange(n)) & 1
+    sizes = bits.sum(axis=1)
+    levels = []
+    for k in range(n + 1):
+        level = masks[sizes == k]
+        modes = np.nonzero(bits[level])[1].reshape(level.size, k).astype(np.uint8)
+        levels.append((level, modes))
+    return levels
+
+
 def husimi_sigma(theta):
     """Real 2N x 2N Husimi covariance of the state of a real symmetric theta.
 

@@ -122,7 +122,15 @@ class TestPlan:
             ({"sizes": [[2, -3]]}, "sizes: 2x-3"),
             ({"sizes": [-4]}, "sizes: mode count -4"),
             ({"sizes": [0]}, "sizes: mode count 0"),
+            ({"sizes": [True]}, "sizes: True is not"),
+            ({"sizes": [[2.7, 3]]}, "sizes: \\[2.7, 3\\] is not"),
+            ({"sizes": [[2, True]]}, "sizes: \\[2, True\\] is not"),
+            ({"sizes": [6.0]}, "sizes: 6.0 is not"),
             ({"base_seed": -1}, "base_seed = -1"),
+            ({"thresholds": [-0.2]}, "threshold -0.2 must be finite"),
+            ({"thresholds": [float("nan"), 0.1]}, "threshold nan must be finite"),
+            ({"thresholds": [1.0]}, "threshold 1.0 must be finite"),
+            ({"thresholds": [float("inf")]}, "threshold inf must be finite"),
         ):
             with pytest.raises(ValueError, match=named):
                 ExperimentPlan.from_dict(plan)
@@ -449,6 +457,9 @@ class TestCli:
             ({"sizes": [-4]}, "sizes: mode count -4"), ({"base_seed": -1}, "base_seed = -1"),
             ({"train": {"max_seconds": float("nan")}}, "max_seconds = nan"),
             ({"train": {"max_seconds": -1}}, "max_seconds = -1"),
+            ({"sizes": [[2.7, 3]]}, "sizes: [2.7, 3] is not"),
+            ({"sizes": [True]}, "sizes: True is not"),
+            ({"thresholds": [-0.2]}, "threshold -0.2 must be finite"),
         ):
             plan_file.write_text(json.dumps({**TINY_PLAN, **values}))
             assert main(["experiment", "--plan", str(plan_file), "--out", str(out),
@@ -460,6 +471,7 @@ class TestCli:
             (["--workers", "0"], "workers = 0"), (["--workers", "-5"], "workers = -5"),
             (["--max-seconds", "inf", "--workers", "1"], "max_seconds = inf"),
             (["--max-seconds", "0", "--workers", "1"], "max_seconds = 0.0"),
+            (["--thresholds", "nan,0.1", "--workers", "1"], "threshold nan must be finite"),
         ):
             assert main(["experiment", "--plan", str(plan_file), "--out", str(out),
                          *flags]) == 2
@@ -478,11 +490,15 @@ class TestCli:
         config = tmp_path / "train.json"
         for values, named in (
             ({"alpha": "0.1"}, "alpha = '0.1'"), ({"thresholds": 0.1}, "thresholds"),
-            ({"seed": -1}, "seed = -1"),
+            ({"seed": -1}, "seed = -1"), ({"thresholds": [0.1, 1.5]}, "threshold 1.5 must be"),
         ):
             config.write_text(json.dumps(values))
             assert main(["train", str(instance), "--config", str(config)]) == 2
             assert named in capsys.readouterr().err
+        for thresholds, named in (("nan,2", "threshold nan"), ("-0.2", "threshold -0.2"),
+                                  ("0.1,inf", "threshold inf")):
+            assert main(["train", str(instance), "--thresholds", thresholds]) == 2
+            assert f"{named} must be finite" in capsys.readouterr().err
         for budget in ("nan", "inf", "0", "-1"):
             assert main(["train", str(instance), "--alpha", "0.1",
                          "--max-seconds", budget]) == 2

@@ -31,6 +31,7 @@ from gbsopt.gaussian import (
 from gbsopt.torontonian import (
     PatternDistribution,
     _dark_law,
+    _subset_levels,
     all_patterns,
     pattern_index,
 )
@@ -38,6 +39,7 @@ from gbsopt.torontonian import (
 from oracles import (
     bounded_random_theta,
     chain_rule_sample,
+    enumerated_subset_levels,
     fock_state_amplitudes,
     fock_threshold_probabilities,
     husimi_sigma,
@@ -461,22 +463,6 @@ class TestSample:
             for seed in (k + n, np.random.SeedSequence(k + n)):
                 assert np.array_equal(sample(state, k, seed), chain_rule_sample(state, k, seed))
 
-    def test_draws_match_when_tables_are_split(self, monkeypatch):
-        # prefix tables of more than BATCH_BYTES go to _prefix_marginals in
-        # several parts, and some mode must take more than one
-        monkeypatch.setattr(gbsopt.torontonian, "BATCH_BYTES", 64)
-        modes = []
-        part = gbsopt.torontonian._prefix_marginals
-
-        def counted(bordered, vacuum, prefixes, bits):
-            modes.append(bits.shape[1])
-            return part(bordered, vacuum, prefixes, bits)
-
-        monkeypatch.setattr(gbsopt.torontonian, "_prefix_marginals", counted)
-        state = random_state(np.random.default_rng(6), 6, 2.0)
-        assert np.array_equal(sample(state, 1000, 8), chain_rule_sample(state, 1000, 8))
-        assert max(Counter(modes).values()) > 1
-
     def test_draws_match_shot_by_shot_chain_rule_at_12_modes(self):
         state = random_state(np.random.default_rng(12), 12, 1.0)
         assert np.array_equal(sample(state, 1000, 5), chain_rule_sample(state, 1000, 5))
@@ -492,8 +478,7 @@ class TestSample:
 
         def counted(blocks, rows):
             for row in np.asarray(rows).tolist():
-                real = tuple(m for m in row if m < 12)  # drop the border modes
-                seen[max(real), real] += 1  # mode j is the largest of W + {j}
+                seen[max(row), tuple(row)] += 1  # mode j is the largest of W + {j}
             return kernel(blocks, rows)
 
         monkeypatch.setattr(gbsopt.torontonian, "subset_determinants", counted)
@@ -510,6 +495,20 @@ class TestSample:
         finally:
             tracemalloc.stop()
         assert peak <= 10e6
+
+    def test_memory_at_20_modes_near_start(self):
+        # the sampler asks for the subset levels of every mode below 20;
+        # cleared first, so the peak includes building all of them
+        upper = np.random.default_rng(20).uniform(-0.1, 0.1, 20 * 21 // 2)
+        state = state_from_theta(ThetaMatrix.from_upper(20, upper))
+        _subset_levels.cache_clear()
+        tracemalloc.start()
+        try:
+            sample(state, 1000, 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
 
     def test_capacity_error_above_20_modes(self):
         state = state_from_theta(ThetaMatrix(np.zeros((21, 21))))
@@ -539,3 +538,15 @@ class TestPatternIndexing:
         patterns = all_patterns(3)
         assert patterns.shape == (8, 3)
         assert [pattern_index(p) for p in patterns] == list(range(8))
+
+
+def test_subset_levels_match_enumeration():
+    for n in range(13):
+        levels = _subset_levels(n)
+        want = enumerated_subset_levels(n)
+        assert len(levels) == len(want) == n + 1
+        for (masks, modes), (want_masks, want_modes) in zip(levels, want):
+            assert masks.dtype == np.int64 and modes.dtype == np.uint8
+            assert np.array_equal(masks, want_masks)
+            assert np.array_equal(modes, want_modes) and modes.shape == want_modes.shape
+            assert not masks.flags.writeable and not modes.flags.writeable

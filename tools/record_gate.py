@@ -11,6 +11,10 @@ Runs, in a temporary directory and with one worker each:
 * one sampled sweep at 12 modes (3 x 4 modes, 1 instance, 1 restart,
   alpha 0.1, ``shots_k = 1000``, ``max_evals = 38``, base seed 7), whose
   prefixes share vacuum marginals within each mode of the sampler;
+* one sampled sweep at 20 modes, the sampling cap (4 x 5 modes,
+  1 instance, 1 restart, alpha 0.1, ``shots_k = 1000``, ``max_evals =
+  62``, base seed 7), where the sampler's tables of vacuum marginals are
+  largest;
 * one ADAM sweep at the shape of the ``analytic-mean`` benchmark
   (4 x 4 modes, 1 instance, 1 restart, alpha 1.0, ``adam_steps = 100``,
   base seed 7), which runs the batched closed-form <Q>;
@@ -66,6 +70,9 @@ SWEEPS = [
     ("sampled12-b7", {"sizes": [[3, 4]], "instances_per_size": 1, "restarts": 1,
                       "alphas": [0.1], "base_seed": 7,
                       "train": {"shots_k": 1000, "max_evals": 38}}),
+    ("sampled20-b7", {"sizes": [[4, 5]], "instances_per_size": 1, "restarts": 1,
+                      "alphas": [0.1], "base_seed": 7,
+                      "train": {"shots_k": 1000, "max_evals": 62}}),
     ("analytic16-b7", {"sizes": [[4, 4]], "instances_per_size": 1, "restarts": 1,
                        "alphas": [1.0], "base_seed": 7, "train": {"adam_steps": 100}}),
 ]
