@@ -23,7 +23,7 @@ from .harness import (
     write_instances,
     write_record,
 )
-from .optim import DEFAULT_THRESHOLDS, TrainConfig, checked_thresholds, train
+from .optim import DEFAULT_THRESHOLDS, OPTIMIZERS, TrainConfig, checked_thresholds, train
 from .problems import assemble_qubo, brute_force_solve, load_instance
 
 EXIT_OK = 0
@@ -92,16 +92,25 @@ def cmd_generate(args):
     sizes = values["sizes"]
     if isinstance(sizes, str):
         sizes = _parse_sizes(sizes)
+    # instances depend on sizes, counts and seed alone; alpha 1 runs fit every size
     plan = ExperimentPlan(sizes=sizes, instances_per_size=values["instances"],
-                          base_seed=values["base_seed"])
+                          base_seed=values["base_seed"], alphas=[1.0])
     for _, path in write_instances(plan, Path(args.out)).values():
         print(path)
     return EXIT_OK
 
 
+def _read_instance(path):
+    """The instance in file ``path``; ValueError naming the file if it is damaged."""
+    try:
+        return load_instance(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def cmd_solve(args):
     instance_path = Path(args.instance)
-    instance = load_instance(instance_path.read_text())
+    instance = _read_instance(instance_path)
     truth = brute_force_solve(assemble_qubo(instance))
     payload = {
         "format_version": 1,
@@ -129,7 +138,7 @@ def cmd_train(args):
     thresholds = checked_thresholds(values.pop("thresholds"))
 
     instance_path = Path(args.instance)
-    instance = load_instance(instance_path.read_text())
+    instance = _read_instance(instance_path)
     out_path = Path(args.out) if args.out else instance_path.with_suffix(".record.json")
     task = RunTask(instance, instance_path.name,
                    TrainConfig(**values).resolved(instance.n_modes), thresholds, out_path)
@@ -185,14 +194,14 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_train_flags(parser, optimizers):
+def _add_train_flags(parser):
     """The flags of the plan's train overrides, shared by train and experiment."""
     parser.add_argument(
         "--shots", type=int, dest="shots_k",
         help="shots per evaluation; 0 = exact mode, 1000 is the usual sampled choice",
     )
     parser.add_argument("--max-evals", type=int, dest="max_evals")
-    parser.add_argument("--optimizer", choices=optimizers)
+    parser.add_argument("--optimizer", choices=OPTIMIZERS)
     parser.add_argument("--adam-steps", type=int, dest="adam_steps")
     parser.add_argument("--max-seconds", type=float, dest="max_seconds")
 
@@ -222,7 +231,7 @@ def build_parser():
     p_train = sub.add_parser("train", help="run one training on an instance")
     p_train.add_argument("instance", help="instance JSON file")
     p_train.add_argument("--alpha", type=float)
-    _add_train_flags(p_train, ["cobyla", "adam"])
+    _add_train_flags(p_train)
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--thresholds", help='fidelity thresholds, e.g. "0.1,0.01"')
     p_train.add_argument("--config", help="JSON config file (flags override it)")
@@ -237,7 +246,7 @@ def build_parser():
     p_exp.add_argument("--alphas")
     p_exp.add_argument("--thresholds")
     p_exp.add_argument("--base-seed", type=int, dest="base_seed")
-    _add_train_flags(p_exp, ["auto", "cobyla", "adam"])
+    _add_train_flags(p_exp)
     p_exp.add_argument("--workers", type=int, help="worker processes (default: CPU count)")
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.set_defaults(func=cmd_experiment)

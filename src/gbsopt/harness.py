@@ -8,6 +8,9 @@ separate ``metadata`` field), so re-running a finished or interrupted
 sweep skips completed records by content hash and reproduces the same
 report.  A run that raises records the exception as its ``error``; one
 that hits ``max_seconds`` keeps its best theta, with ``error`` "timeout".
+A run's training config is ``TrainConfig(seed, alpha, **plan.train)``
+resolved for its size, so every default comes from ``TrainConfig``, as
+for ``gbsopt train``.
 
 Report files:
 
@@ -36,7 +39,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityError, GbsOptError
-from .gaussian import takagi_decompose
 from .optim import (
     DEFAULT_THRESHOLDS,
     TrainConfig,
@@ -69,11 +71,11 @@ RECORD_FORMAT_VERSION = 2
 REPORT_FORMAT_VERSION = 2
 REPORT_COLUMNS = ["n_modes", "alpha", "threshold", "success_fraction", "n_instances"]
 
-#: TrainConfig defaults bar the per-run seed and alpha; sweeps pick the
-#: optimizer per alpha ("auto") and cap each run's wall time
+#: the keys of a plan's ``train`` block: TrainConfig's defaults bar the
+#: per-run seed and alpha
 DEFAULT_TRAIN_OVERRIDES = {
     f.name: f.default for f in fields(TrainConfig) if f.name not in ("seed", "alpha")
-} | {"optimizer": "auto", "max_seconds": 600.0}
+}
 
 
 def size_to_flights_gates(n):
@@ -120,7 +122,8 @@ def _reject_collisions(what, values, name):
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Everything one sweep needs; fields mirror the CLI flags.  Checked
-    whole on construction, so no sweep starts on a plan that fails later."""
+    whole on construction, each (size, alpha) run config resolved, so no
+    sweep starts on a plan that fails later."""
 
     sizes: tuple = field(default_factory=default_sizes)
     instances_per_size: int = 50
@@ -156,22 +159,19 @@ class ExperimentPlan:
         unknown = set(self.train) - set(DEFAULT_TRAIN_OVERRIDES)
         if unknown:
             raise ValueError(f"unknown train override(s): {sorted(unknown)}")
-        merged = dict(DEFAULT_TRAIN_OVERRIDES)
-        merged.update(self.train)
-        object.__setattr__(self, "train", merged)
-        for alpha in self.alphas:
-            self.train_config(alpha, seed=0)  # rejects bad train values up front
+        object.__setattr__(self, "train", DEFAULT_TRAIN_OVERRIDES | self.train)
+        for alpha in self.alphas:  # rejects bad train values and capacity up front
+            for f, g in self.sizes:
+                self.train_config(alpha, seed=0).resolved(f * g)
 
     def train_config(self, alpha, seed):
         """The TrainConfig of this plan's runs at ``alpha`` with train seed ``seed``."""
-        overrides = dict(self.train)
-        if overrides["optimizer"] == "auto":
-            exact_mean = alpha == 1.0 and overrides["shots_k"] == 0
-            overrides["optimizer"] = "adam" if exact_mean else "cobyla"
-        return TrainConfig(seed=seed, alpha=alpha, **overrides)
+        return TrainConfig(seed=seed, alpha=alpha, **self.train)
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ValueError(f"a plan must be a JSON object, not {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -275,8 +275,8 @@ def write_record(task, trained, wall_time_s):
     carries ``error`` "timeout".  The record is deterministic apart from
     its metadata block, which holds the timestamp, the wall time and
     ``max_squeezing``, the largest squeezing r = |eigenvalue| of the best
-    theta (None without one); the accuracy of the state's numerics is
-    tested up to r = 5.5.
+    theta (None without one), read from ``eigvalsh``; the accuracy of the
+    state's numerics is tested up to r = 5.5.
     """
     max_squeezing = None
     if isinstance(trained, str):
@@ -299,7 +299,7 @@ def write_record(task, trained, wall_time_s):
             "timed_out": bool(trained.timed_out),
             "error": "timeout" if trained.timed_out else None,
         }
-        max_squeezing = float(takagi_decompose(trained.best_theta).squeezings[0])
+        max_squeezing = float(np.abs(np.linalg.eigvalsh(trained.best_theta.entries)).max())
     record = {
         "format_version": RECORD_FORMAT_VERSION,
         "kind": "train_record",
@@ -374,8 +374,8 @@ def _build_tasks(plan, out_dir: Path):
     tasks = []
     for seed, alpha, restart, record_name in _plan_runs(plan):
         instance, path = instances[seed]
-        # records carry the size-resolved config (max_evals filled in),
-        # which also feeds the resume hash
+        # records carry the size-resolved config (max_evals and optimizer
+        # filled in), which also feeds the resume hash
         cfg = plan.train_config(alpha, _derive_seed(seed, restart)).resolved(instance.n_modes)
         tasks.append(
             RunTask(instance, path.name, cfg, plan.thresholds, runs_dir / record_name, restart)
@@ -383,15 +383,23 @@ def _build_tasks(plan, out_dir: Path):
     return tasks
 
 
-def _resume_summary(task):
-    """Summary from an existing record if it matches the task, else None."""
+def _read_record(path):
+    """(config_sha256, summary) of the record file at ``path``; GbsOptError
+    naming the file when it cannot be read or lacks a block."""
     try:
-        record = json.loads(task.record_path.read_text())
-    except (OSError, json.JSONDecodeError):
+        record = json.loads(path.read_text())
+        return record.get("config_sha256"), _summary_from_record(record)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise GbsOptError(f"unreadable run record {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _resume_summary(task):
+    """Summary from an existing record if it reads and matches the task, else None."""
+    try:
+        config_sha256, summary = _read_record(task.record_path)
+    except GbsOptError:
         return None
-    if record.get("config_sha256") != task.config_sha256:
-        return None
-    return _summary_from_record(record)
+    return summary if config_sha256 == task.config_sha256 else None
 
 
 def resolve_workers(workers=None):
@@ -568,7 +576,11 @@ def verify_report(out_dir):
     report_path = out_dir / "report.json"
     if not report_path.exists():
         raise GbsOptError(f"no report.json under {out_dir}")
-    plan = ExperimentPlan.from_dict(json.loads(report_path.read_text())["plan"])
+    try:
+        plan = json.loads(report_path.read_text())["plan"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise GbsOptError(f"unreadable {report_path}: {type(exc).__name__}: {exc}") from exc
+    plan = ExperimentPlan.from_dict(plan)
     runs_dir = out_dir / "runs"
     expected = {name for *_, name in _plan_runs(plan)}
     found = {path.name for path in runs_dir.glob("*.json")}
@@ -577,10 +589,7 @@ def verify_report(out_dir):
             f"run records do not match the plan: missing {sorted(expected - found)}, "
             f"unexpected {sorted(found - expected)}"
         )
-    rebuilt = build_report(
-        plan, [_summary_from_record(json.loads((runs_dir / name).read_text()))
-               for name in sorted(expected)]
-    )
+    rebuilt = build_report(plan, [_read_record(runs_dir / name)[1] for name in sorted(expected)])
     stored = (out_dir / "report.csv").read_text().splitlines()
     for got, want in zip_longest(stored, _csv_text(REPORT_COLUMNS, rebuilt.rows).splitlines()):
         if got != want:

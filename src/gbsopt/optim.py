@@ -56,7 +56,7 @@ __all__ = [
     "DEFAULT_THRESHOLDS",
 ]
 
-OPTIMIZERS = ("cobyla", "adam")
+OPTIMIZERS = ("auto", "cobyla", "adam")
 DEFAULT_THRESHOLDS = (0.1, 0.01)
 
 #: trained entries per mode: min(3N, N(N+1)/2) entries of theta move
@@ -102,23 +102,24 @@ def checked_thresholds(thresholds):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Resolved knobs for one training run.
+    """The knobs of one training run, and the one owner of their defaults,
+    which plans, sweeps and ``gbsopt train`` all start from.
 
-    ``shots_k = 0`` selects exact-distribution mode; ``max_evals``
-    defaults to 50N once the problem size is known.  ``optimizer`` is
-    "cobyla" (derivative-free linear-approximation trust region) or "adam"
-    (first-order on the analytic alpha = 1 cost).  The mask size, the
-    initialization scale and the ADAM step size are not knobs: see
-    ``MASK_PER_MODE``, ``INIT_SCALE`` and ``ADAM_LR``.
+    ``shots_k = 0`` selects exact-distribution mode.  ``optimizer`` is
+    "cobyla" (derivative-free linear-approximation trust region), "adam"
+    (first-order on the analytic alpha = 1 cost) or "auto", which
+    :meth:`resolved` picks one of, as it fills in ``max_evals``.  The mask
+    size, the initialization scale and the ADAM step size are not knobs:
+    see ``MASK_PER_MODE``, ``INIT_SCALE`` and ``ADAM_LR``.
     """
 
     seed: int
     alpha: float = 1.0
     shots_k: int = 0
     max_evals: int | None = None
-    optimizer: str = "cobyla"
+    optimizer: str = "auto"
     adam_steps: int = 500
-    max_seconds: float | None = None
+    max_seconds: float | None = 600.0
 
     def __post_init__(self):
         check_field_types(self)
@@ -140,9 +141,19 @@ class TrainConfig:
             raise ValueError(f"max_seconds = {self.max_seconds!r} must be finite and > 0")
 
     def resolved(self, n):
-        """Fill size-dependent defaults for an N-variable problem."""
+        """The config of a run on an N-variable problem, as its record holds
+        it: ``max_evals`` None becomes 50N, and "auto" becomes "adam" for
+        exact alpha = 1 and "cobyla" otherwise.  Exact CVaR (alpha < 1,
+        ``shots_k = 0``) above ``ENUMERATION_CAP`` modes raises CapacityError.
+        """
+        if self.shots_k == 0 and self.alpha < 1.0 and n > ENUMERATION_CAP:
+            raise CapacityError(f"exact-distribution training at {n} modes exceeds the "
+                                f"enumeration cap {ENUMERATION_CAP}")
+        optimizer = self.optimizer
+        if optimizer == "auto":
+            optimizer = "adam" if self.alpha == 1.0 and self.shots_k == 0 else "cobyla"
         max_evals = self.max_evals if self.max_evals is not None else 50 * n
-        return replace(self, max_evals=max_evals)
+        return replace(self, max_evals=max_evals, optimizer=optimizer)
 
 
 @dataclass(frozen=True)
@@ -433,13 +444,11 @@ def train(qubo, cfg, thresholds=DEFAULT_THRESHOLDS):
 
     The parameter matrix starts with all upper-triangle entries i.i.d.
     uniform on [-INIT_SCALE, INIT_SCALE]; only the min(MASK_PER_MODE * N,
-    N(N+1)/2) entries chosen by ``build_mask`` move.  Exact-distribution
-    mode requires N within the enumeration cap.  The returned record is a
-    pure function of (qubo, cfg, thresholds).
+    N(N+1)/2) entries chosen by ``build_mask`` move.  ``cfg`` is resolved
+    for N first (see :meth:`TrainConfig.resolved`).  The returned record is
+    a pure function of (qubo, cfg, thresholds).
     """
     cfg = cfg.resolved(qubo.n)
-    if cfg.shots_k == 0 and cfg.alpha < 1.0 and qubo.n > ENUMERATION_CAP:
-        raise CapacityError("exact-distribution training exceeds the enumeration cap")
 
     ground_truth = brute_force_solve(qubo)
     n_upper = qubo.n * (qubo.n + 1) // 2

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 INSTANCE_FORMAT_VERSION = 1
+_INSTANCE_KEYS = ("n_flights", "n_gates", "transfer_matrix", "forbidden_pairs",
+                  "lambda_one", "lambda_not", "seed")
 
 # instance generator knobs; a stand-in for externally supplied benchmarks
 PASSENGERS_RANGE = (1, 50)
@@ -68,6 +70,8 @@ class FgaInstance:
         transfer = np.asarray(self.transfer, dtype=float)
         if transfer.shape != (n, n):
             raise ValueError(f"transfer matrix must be {n} x {n}")
+        if not np.isfinite(transfer).all():
+            raise ValueError("transfer matrix entries must be finite")
         if not np.array_equal(transfer, transfer.T):
             raise ValueError("transfer matrix must be symmetric")
         pairs = []
@@ -79,8 +83,10 @@ class FgaInstance:
             pairs.append((min(i, j), max(i, j)))
         if len(set(pairs)) != len(pairs):
             raise ValueError("forbidden pairs must be stored once")
-        if self.lambda_one < 0 or self.lambda_not < 0:
-            raise ValueError("penalty weights must be nonnegative")
+        for name in ("lambda_one", "lambda_not"):
+            weight = getattr(self, name)
+            if not 0 <= weight < np.inf:  # NaN fails
+                raise ValueError(f"{name} = {weight!r} must be finite and nonnegative")
         object.__setattr__(self, "transfer", _frozen_array(transfer))
         object.__setattr__(self, "forbidden_pairs", tuple(sorted(pairs)))
 
@@ -340,18 +346,26 @@ def load_instance(text):
     import json
 
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"an instance must be a JSON object, not {type(data).__name__}")
     version = data.get("format_version")
     if version != INSTANCE_FORMAT_VERSION:
         raise ValueError(f"unsupported instance format_version {version}")
-    return FgaInstance(
-        n_flights=int(data["n_flights"]),
-        n_gates=int(data["n_gates"]),
-        transfer=np.array(data["transfer_matrix"], dtype=float),
-        forbidden_pairs=tuple((int(i), int(j)) for i, j in data["forbidden_pairs"]),
-        lambda_one=float(data["lambda_one"]),
-        lambda_not=float(data["lambda_not"]),
-        seed=int(data["seed"]),
-    )
+    missing = [key for key in _INSTANCE_KEYS if key not in data]
+    if missing:
+        raise ValueError(f"instance lacks key(s) {missing}")
+    try:
+        return FgaInstance(
+            n_flights=int(data["n_flights"]),
+            n_gates=int(data["n_gates"]),
+            transfer=np.array(data["transfer_matrix"], dtype=float),
+            forbidden_pairs=tuple((int(i), int(j)) for i, j in data["forbidden_pairs"]),
+            lambda_one=float(data["lambda_one"]),
+            lambda_not=float(data["lambda_not"]),
+            seed=int(data["seed"]),
+        )
+    except TypeError as exc:  # a null or a list where a number belongs, and the like
+        raise ValueError(f"malformed instance: {exc}") from exc
 
 
 def instance_filename(instance):

@@ -25,15 +25,16 @@ O = I - inv(Sigma), the same law without the real form, as a reference.)
 
 Accuracy: within 1.3e-15 of a 40-digit evaluation up to spectral radius
 6 (see :func:`full_distribution`).  Memory: a table with k free modes
-holds 2^k floats, and the subset levels of each size up to k are cached
-(17 MiB in all at k = 19, the sampler's last mode at 20 modes).
+holds 2^k floats, and the subset levels of [k] are cached for the largest
+k asked for only, every smaller k reading their leading rows (9 MiB at
+k = 19, the sampler's last mode at 20 modes).
 
 Pattern indexing convention: bit i of an integer pattern index is the
 outcome of mode i (index = sum_i d_i * 2^i); every 0/1 row is built by
 :func:`index_to_pattern`.
 """
 
-import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -93,26 +94,47 @@ def _checked_pattern(pattern, n_modes):
     return pattern
 
 
-@functools.lru_cache(maxsize=None)
-def _subset_levels(n):
-    """Subsets of [n] grouped by size k = 0..n, as (masks, modes) pairs.
+class _SubsetLevels:
+    """``_subset_levels(n)``: the subsets of [n] grouped by size k = 0..n,
+    as (masks, modes) pairs.
 
     ``masks`` holds the int64 bitmasks of size k in ascending order; row r
     of ``modes`` lists the k modes of masks[r] in ascending order.  Level k
     of [n] is level k of [n - 1] followed by level k - 1 of [n - 1] with
-    mode n - 1 added, so no (2^n, n) table is ever built.  uint8 keeps the
-    cache small; the arrays are read-only, since every caller shares them.
+    mode n - 1 added, so no (2^n, n) table is ever built, and level k of
+    [m < n] is the first C(m, k) rows of level k of [n].  So only the levels
+    of the largest n asked for are kept (9 MiB at n = 19), and a smaller n
+    gets views of their leading rows.  uint8 keeps them small; the arrays
+    are read-only, since every caller shares them.  ``cache_clear()`` drops
+    them.
     """
-    levels = [(np.zeros(1, dtype=np.int64), np.zeros((1, 0), dtype=np.uint8))]
-    below = _subset_levels(n - 1) if n else ()
-    empty = (np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.uint8))  # n-sets of [n - 1]
-    for (out_masks, out_modes), (in_masks, in_modes) in zip(below[1:] + (empty,), below):
-        top = np.full((len(in_masks), 1), n - 1, dtype=np.uint8)
-        levels.append((np.concatenate([out_masks, in_masks | (1 << (n - 1))]),
-                       np.concatenate([out_modes, np.concatenate([in_modes, top], axis=1)])))
-    for array in (a for level in levels for a in level):
-        array.setflags(write=False)
-    return tuple(levels)
+
+    def __init__(self):
+        self.cache_clear()
+
+    def cache_clear(self):
+        self.levels = ((np.zeros(1, dtype=np.int64), np.zeros((1, 0), dtype=np.uint8)),)
+        self.views = {}  # n -> views; reset with the levels, whose memory they pin
+
+    def __call__(self, n):
+        for m in range(len(self.levels), n + 1):  # the levels of [m] from those of [m - 1]
+            below = self.levels
+            empty = (np.zeros(0, dtype=np.int64), np.zeros((0, m), dtype=np.uint8))
+            grown = [below[0]]
+            for (out_masks, out_modes), (in_masks, in_modes) in zip(below[1:] + (empty,), below):
+                top = np.full((len(in_masks), 1), m - 1, dtype=np.uint8)
+                modes = np.concatenate([out_modes, np.concatenate([in_modes, top], axis=1)])
+                grown.append((np.concatenate([out_masks, in_masks | (1 << (m - 1))]), modes))
+            for array in (a for level in grown for a in level):
+                array.setflags(write=False)
+            self.levels, self.views = tuple(grown), {}
+        if n not in self.views:
+            self.views[n] = tuple((masks[:math.comb(n, k)], modes[:math.comb(n, k)])
+                                  for k, (masks, modes) in enumerate(self.levels[:n + 1]))
+        return self.views[n]
+
+
+_subset_levels = _SubsetLevels()
 
 
 def _superset_transform(table):
@@ -213,8 +235,8 @@ def full_distribution(state: GaussianState):
     probabilities are far larger.
 
     Memory: besides two tables of 2^N floats (the marginals, transformed
-    in place, and the returned copy) and the cached subset levels of every
-    size up to N (1.9 MiB at N = 16), the kernel holds one batch of
+    in place, and the returned copy) and the cached subset levels of [N]
+    (1 MiB at N = 16), the kernel holds one batch of
     gathered submatrices, at most BATCH_BYTES (1 MiB), and its Cholesky
     factors at a time, whatever the size of the largest level (C(16, 8)
     subsets at N = 16).
@@ -248,7 +270,7 @@ def sample(state: GaussianState, k, seed):
     ``tests/oracles.py:chain_rule_sample`` in every tested case.  Memory:
     that table (4 MiB at N = 20) and the cached subset levels; under
     tracemalloc, 1000 shots peak at 4.0 MB at N = 16 and spectral radius
-    2 (levels cached), and at 28 MB at N = 20 near the training start
+    2 (levels cached), and at 21 MB at N = 20 near the training start
     (every level built inside the trace).
     Deterministic for a given seed; returns a (k, N) 0/1 array, one
     pattern per row.  Above BRUTE_FORCE_CAP modes raises CapacityError.

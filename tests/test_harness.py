@@ -179,6 +179,18 @@ class TestRunExperiment:
             tmp_path / "b" / "runs" / removed.name
         )
 
+        # a record that does not parse, or lacks a block, is retrained
+        damaged = {recs_a[0]: "{not json", recs_a[2]: json.dumps(
+            {k: v for k, v in json.loads(recs_a[2].read_text()).items() if k != "result"})}
+        for path, text in damaged.items():
+            path.write_text(text)
+        run_experiment(plan, tmp_path / "a", workers=1)
+        assert (tmp_path / "a" / "report.csv").read_bytes() == report_before
+        for path in damaged:
+            assert canonical_without_metadata(path) == canonical_without_metadata(
+                tmp_path / "b" / "runs" / path.name
+            )
+
     def test_resume_leaves_instance_files_untouched(self, tmp_path):
         plan = ExperimentPlan.from_dict(TINY_PLAN)
         run_experiment(plan, tmp_path, workers=1)
@@ -203,6 +215,18 @@ class TestRunExperiment:
             record["result"]["final_fidelity"] = 0.0
             record_path.write_text(json.dumps(record))
         with pytest.raises(GbsOptError, match="mismatch"):
+            verify_report(tmp_path)
+
+        # a damaged report or record names its file
+        report_json = tmp_path / "report.json"
+        payload = json.loads(report_json.read_text())
+        report_json.write_text(json.dumps({k: v for k, v in payload.items() if k != "plan"}))
+        with pytest.raises(GbsOptError, match="report.json: KeyError: 'plan'"):
+            verify_report(tmp_path)
+        report_json.write_text(json.dumps(payload))
+        record_path = sorted((tmp_path / "runs").glob("*.json"))[0]
+        record_path.write_text(json.dumps({k: v for k, v in record.items() if k != "result"}))
+        with pytest.raises(GbsOptError, match=f"{record_path.name}: KeyError: 'result'"):
             verify_report(tmp_path)
 
     def test_verify_checks_the_record_set(self, tmp_path):
@@ -297,11 +321,29 @@ class TestCli:
         assert solution["min_value"] == pytest.approx(0.0)
         assert sorted(solution["minimizers"]) == [[0, 1], [1, 0]]
 
-    def test_solve_invalid_file_exit_code(self, tmp_path):
+    def test_solve_invalid_file_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["solve", str(bad)]) == 2
         assert main(["solve", str(tmp_path / "missing.json")]) == 2
+        main(["generate", "--sizes", "1x2", "--instances", "1", "--out", str(tmp_path / "i")])
+        good = json.loads(next((tmp_path / "i").glob("*.json")).read_text())
+        capsys.readouterr()
+        # each damaged file exits 2 naming the file and the fault
+        for text, named in (
+            ("{not json", "Expecting property name"),
+            ('{"format_version": 1}', "instance lacks key(s) ['n_flights', 'n_gates'"),
+            ("[1, 2]", "an instance must be a JSON object, not list"),
+            (json.dumps({**good, "lambda_one": "nan"}), "lambda_one = nan must be finite"),
+            (json.dumps({**good, "lambda_not": float("inf")}), "lambda_not = inf must be"),
+            (json.dumps({**good, "transfer_matrix": [["nan", 0], [0, 0]]}),
+             "transfer matrix entries must be finite"),
+            (json.dumps({**good, "seed": None}), "malformed instance"),
+        ):
+            bad.write_text(text)
+            assert main(["solve", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert f"error: {bad}: " in err and named in err
+        assert main(["train", str(bad)]) == 2
+        assert f"error: {bad}: malformed instance" in capsys.readouterr().err
 
     def test_train_round_trip_and_determinism(self, tmp_path):
         out = tmp_path / "inst"
@@ -359,6 +401,25 @@ class TestCli:
         )
         assert_same_blocks(trained, swept)
         assert trained["metadata"]["wall_time_s"] > 0.0
+
+    def test_train_defaults_are_the_sweep_defaults(self, tmp_path):
+        # with no config file, gbsopt train at a sweep run's alpha and seed
+        # writes that run's record
+        plan = ExperimentPlan.from_dict({"sizes": [[2, 3]], "instances_per_size": 1,
+                                         "restarts": 1, "alphas": [0.1, 1.0]})
+        run_experiment(plan, tmp_path / "sweep", workers=1)
+        swept = [json.loads(p.read_text())
+                 for p in sorted((tmp_path / "sweep" / "runs").glob("*.json"))]
+        assert [r["config"]["optimizer"] for r in swept] == ["cobyla", "adam"]
+        instance = tmp_path / "sweep" / "instances" / swept[0]["run"]["instance_file"]
+        rec = tmp_path / "rec.json"
+        for record in swept:
+            assert main(["train", str(instance), "--alpha", repr(record["run"]["alpha"]),
+                         "--seed", str(record["config"]["seed"]), "--out", str(rec)]) == 0
+            assert_same_blocks(json.loads(rec.read_text()), record)
+        assert main(["train", str(instance), "--seed", "17", "--out", str(rec)]) == 0
+        config = json.loads(rec.read_text())["config"]
+        assert (config["optimizer"], config["max_seconds"]) == ("adam", 600.0)
 
     def test_train_trivial_instance_record(self, tmp_path):
         # zero transfer and zero penalties make every pattern optimal:
@@ -504,6 +565,19 @@ class TestCli:
                          "--max-seconds", budget]) == 2
             assert f"max_seconds = {float(budget)!r}" in capsys.readouterr().err
         assert not instance.with_suffix(".record.json").exists()
+
+    def test_plan_over_capacity_exits_3_before_any_file(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        assert main(["experiment", "--sizes", "3x6", "--instances", "1", "--restarts", "1",
+                     "--alphas", "0.1", "--workers", "1", "--out", str(out)]) == 3
+        assert "18 modes exceeds the enumeration cap 16" in capsys.readouterr().err
+        assert not out.exists()
+        # sampled CVaR and exact alpha = 1 fit every size up to the solver cap
+        ExperimentPlan(sizes=[(3, 6)], alphas=[1.0, 0.1], train={"shots_k": 10})
+        ExperimentPlan(sizes=[(4, 5)], alphas=[1.0])
+        # instances alone have no alpha, so generate still writes 18 modes
+        assert main(["generate", "--sizes", "3x6", "--instances", "1", "--out", str(out)]) == 0
+        assert len(list(out.glob("18_*.json"))) == 1
 
     def test_experiment_flags_override_plan(self, tmp_path):
         plan_file = tmp_path / "plan.json"

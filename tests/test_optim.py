@@ -1,5 +1,7 @@
 """Tests for cost functions, masking and the training drivers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,20 @@ class TestTrain:
             TrainConfig(seed=1, alpha=0.0)
         with pytest.raises(ValueError):
             TrainConfig(seed=1, optimizer="bfgs")
+
+    def test_resolved_owns_the_size_defaults(self):
+        cfg = TrainConfig(seed=1, alpha=0.1)
+        assert (cfg.optimizer, cfg.max_evals, cfg.max_seconds) == ("auto", None, 600.0)
+        resolved = cfg.resolved(6)
+        assert resolved == replace(cfg, optimizer="cobyla", max_evals=300)
+        assert resolved.resolved(6) == resolved
+        assert TrainConfig(seed=1).resolved(6).optimizer == "adam"
+        assert TrainConfig(seed=1, shots_k=10).resolved(20).optimizer == "cobyla"
+        assert TrainConfig(seed=1).resolved(20).optimizer == "adam"
+        fixed = TrainConfig(seed=1, optimizer="cobyla", max_evals=7)
+        assert fixed.resolved(6) == fixed
+        with pytest.raises(CapacityError, match="17 modes exceeds the enumeration cap 16"):
+            cfg.resolved(17)
 
     @pytest.mark.parametrize("max_seconds", [float("nan"), float("inf"), 0, -1])
     def test_max_seconds_must_be_finite_and_positive(self, max_seconds):

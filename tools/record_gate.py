@@ -20,7 +20,10 @@ Runs, in a temporary directory and with one worker each:
   base seed 7), which runs the batched closed-form <Q>;
 * the record of acceptance criterion 9: ``gbsopt generate --sizes 2x3
   --instances 2 --base-seed 99`` and ``gbsopt train <first instance>
-  --alpha 0.1 --seed 17``.
+  --alpha 0.1 --seed 17``;
+* ``train-default``: ``gbsopt train <the same instance> --seed 17`` with
+  no other flag, which pins the training defaults that ``gbsopt train``
+  shares with every sweep.
 
 For each it prints one sha256 (its first 16 hex digits) per record block
 (``run``, ``config``, ``result``) over the records in file-name order,
@@ -79,6 +82,7 @@ SWEEPS = [
 SWEEP_BASE = {"sizes": [[2, 3]], "instances_per_size": 2, "restarts": 2,
               "thresholds": [0.1, 0.01]}
 CRITERION9 = "criterion9"
+TRAIN_DEFAULT = "train-default"
 
 
 def _sha(chunks):
@@ -125,9 +129,10 @@ def _run_gate(src, work):
                  "--out", str(inst_dir)]) != 0:
             raise SystemExit("record_gate: gbsopt generate failed")
         instance = sorted(inst_dir.glob("*.json"))[0]
-        if main(["train", str(instance), "--alpha", "0.1", "--seed", "17",
-                 "--out", str(work / f"{CRITERION9}.record.json")]) != 0:
-            raise SystemExit("record_gate: gbsopt train failed")
+        for name, flags in ((CRITERION9, ["--alpha", "0.1"]), (TRAIN_DEFAULT, [])):
+            if main(["train", str(instance), *flags, "--seed", "17",
+                     "--out", str(work / f"{name}.record.json")]) != 0:
+                raise SystemExit("record_gate: gbsopt train failed")
 
 
 def _gate_outputs(src, work):
@@ -146,10 +151,11 @@ def _gate_outputs(src, work):
             "report.csv": out / "report.csv",
             "instances": list((out / "instances").glob("*.json")),
         }
-    outputs[CRITERION9] = {
-        "records": [json.loads((work / f"{CRITERION9}.record.json").read_text())],
-        "instances": list((work / CRITERION9).glob("*.json")),
-    }
+    for name in (CRITERION9, TRAIN_DEFAULT):
+        outputs[name] = {
+            "records": [json.loads((work / f"{name}.record.json").read_text())],
+            "instances": list((work / CRITERION9).glob("*.json")),
+        }
     return outputs
 
 
