@@ -33,7 +33,6 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import zip_longest
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +48,7 @@ from .optim import (
 from .problems import (
     BRUTE_FORCE_CAP,
     FgaInstance,
+    _is_integer,
     assemble_qubo,
     dump_instance,
     generate_instance,
@@ -89,10 +89,6 @@ def size_to_flights_gates(n):
 
 def default_sizes():
     return tuple(size_to_flights_gates(n) for n in (6, 8, 10, 12, 14, 16))
-
-
-def _is_integer(value):
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _normalize_sizes(sizes):

@@ -337,6 +337,11 @@ class TestCli:
             (json.dumps({**good, "transfer_matrix": [["nan", 0], [0, 0]]}),
              "transfer matrix entries must be finite"),
             (json.dumps({**good, "seed": None}), "malformed instance"),
+            (json.dumps({**good, "n_flights": 2.7}), "n_flights = 2.7 is not an integer"),
+            (json.dumps({**good, "n_gates": True}), "n_gates = True is not an integer"),
+            (json.dumps({**good, "seed": 5.9}), "seed = 5.9 is not an integer"),
+            (json.dumps({**good, "forbidden_pairs": [[0.5, 1]]}),
+             "forbidden_pairs = [[0.5, 1]] is not a list of integer pairs"),
         ):
             bad.write_text(text)
             assert main(["solve", str(bad)]) == 2

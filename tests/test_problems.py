@@ -1,5 +1,7 @@
 """Tests for instance generation, QUBO assembly and exact solving."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,21 @@ from gbsopt import (
     generate_instance,
     load_instance,
 )
-from gbsopt.problems import _constraints_bind, dump_instance, satisfies_constraints
-from gbsopt.torontonian import PatternDistribution, all_patterns
+from gbsopt.problems import (
+    ENERGY_BLOCK_ROWS,
+    _constraints_bind,
+    dump_instance,
+    satisfies_constraints,
+)
+from gbsopt.torontonian import PatternDistribution, all_patterns, index_to_pattern
 
 from oracles import constraints_bind_by_loops, enumerate_minimizers, fga_objective_direct
+
+
+def random_qubo(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2.0, 2.0, (n, n))
+    return QuboProblem(q=(a + a.T) / 2.0, offset=float(rng.uniform(-1.0, 1.0)))
 
 
 class TestGenerateInstance:
@@ -43,7 +56,7 @@ class TestGenerateInstance:
         assert a != c
 
     def test_size_cap(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="25 modes exceed the instance cap 20"):
             generate_instance(5, 5, seed=1)
 
     def test_transfer_optimum_is_infeasible(self):
@@ -144,6 +157,31 @@ class TestQuboProblem:
         assert not energies.flags.writeable
         assert np.array_equal(energies, qubo.values(all_patterns(6)))
 
+    @pytest.mark.parametrize("n", [1, 4, 12, 13, 16])
+    def test_blocked_energies_equal_one_whole_table_einsum(self, n):
+        # under one block, exactly one block (2^12 rows), and 2 or 16 blocks
+        assert ENERGY_BLOCK_ROWS == 1 << 12
+        qubo = random_qubo(n, seed=n)
+        x = all_patterns(n).astype(float)
+        whole = np.einsum("mi,ij,mj->m", x, qubo.q, x) + qubo.offset
+        assert np.array_equal(qubo.pattern_energies(), whole)
+
+    def test_blocked_energies_at_the_cap_equal_per_row_einsum(self):
+        n = 20
+        qubo = random_qubo(n, seed=20)
+        energies = qubo.pattern_energies()
+        rng = np.random.default_rng(5)
+        last = (1 << n) - ENERGY_BLOCK_ROWS
+        rows = np.concatenate([
+            [0, ENERGY_BLOCK_ROWS - 1, ENERGY_BLOCK_ROWS, last - 1, last, (1 << n) - 1],
+            rng.integers(0, ENERGY_BLOCK_ROWS, 50),
+            rng.integers(last, 1 << n, 50),
+            rng.integers(0, 1 << n, 200),
+        ])
+        for index in rows:
+            x = index_to_pattern(index, n).astype(float)
+            assert energies[index] == np.einsum("i,ij,j->", x, qubo.q, x) + qubo.offset
+
     def test_energy_order_is_stable_argsort(self):
         # duplicated energies: the stable order keeps ascending pattern index
         qubo = QuboProblem(q=np.diag([1.0, 1.0, -2.0]))
@@ -184,9 +222,24 @@ class TestBruteForce:
             assert truth.min_value == pytest.approx(best, rel=1e-12)
             assert [tuple(m) for m in truth.minimizers] == minimizers
 
+    @pytest.mark.parametrize("n, bound_mb", [(16, 2.0), (20, 10.0)])
+    def test_traced_peak(self, n, bound_mb):
+        # a fresh problem, so the energies are built inside the trace
+        qubo = random_qubo(n, seed=n)
+        tracemalloc.start()
+        try:
+            brute_force_solve(qubo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6
+
     def test_size_cap(self):
-        with pytest.raises(CapacityError):
-            brute_force_solve(QuboProblem(q=np.zeros((21, 21))))
+        qubo = QuboProblem(q=np.zeros((21, 21)))
+        for solve in (brute_force_solve, QuboProblem.pattern_energies):
+            with pytest.raises(CapacityError,
+                               match="21 variables exceed the brute-force cap 20"):
+                solve(qubo)
 
 
 class TestExpectedEnergyExact:
