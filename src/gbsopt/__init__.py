@@ -17,7 +17,9 @@ Layers, bottom to top:
   Killoran, PRA 98, 062322 (2018)).  Probabilities stay within
   1.3e-15 of a 40-digit evaluation up to spectral radius 6 and within
   1.2e-14 where one mode is squeezed to r = 5.5; the enumeration holds
-  tables of 2^N floats and one 1 MiB kernel batch;
+  tables of 2^N floats and one 1 MiB kernel batch.  One mode cap, 20
+  (``BRUTE_FORCE_CAP``), bounds every 2^N table in the package: the click
+  law, the pattern energies, instances and plans;
 * :mod:`gbsopt.problems` — flight-gate assignment instances, QUBO
   assembly, brute-force ground truth and the enumerated <Q>;
 * :mod:`gbsopt.optim` — CVaR / expectation cost functions and the two

@@ -18,7 +18,8 @@ class InvalidStateError(GbsOptError):
 
 
 class CapacityError(GbsOptError):
-    """A requested problem size exceeds an enumeration or solver cap."""
+    """A size exceeds the one mode cap, 20 (``BRUTE_FORCE_CAP``), of every
+    2^N table: the click law, the pattern energies, instances and plans."""
 
 
 class GenerationError(GbsOptError):

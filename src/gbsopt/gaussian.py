@@ -46,6 +46,7 @@ and their Cholesky factors take as much again.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,6 +371,10 @@ def vacuum_marginal(state, modes):
 
 
 def _checked_modes(n_modes, modes):
+    modes = list(modes)
+    bad = [m for m in modes if isinstance(m, bool) or not isinstance(m, numbers.Integral)]
+    if bad:
+        raise ValueError(f"mode indices must be integers, got {bad[0]!r}")
     modes = np.asarray(sorted(set(int(m) for m in modes)), dtype=int)
     if modes.size == 0:
         raise ValueError("mode subset must be nonempty")

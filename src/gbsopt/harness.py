@@ -118,8 +118,9 @@ def _reject_collisions(what, values, name):
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Everything one sweep needs; fields mirror the CLI flags.  Checked
-    whole on construction, each (size, alpha) run config resolved, so no
-    sweep starts on a plan that fails later."""
+    whole on construction, each size against the one mode cap of 20 and
+    each alpha's run config built, so no sweep starts on a plan that
+    fails later."""
 
     sizes: tuple = field(default_factory=default_sizes)
     instances_per_size: int = 50
@@ -156,9 +157,8 @@ class ExperimentPlan:
         if unknown:
             raise ValueError(f"unknown train override(s): {sorted(unknown)}")
         object.__setattr__(self, "train", DEFAULT_TRAIN_OVERRIDES | self.train)
-        for alpha in self.alphas:  # rejects bad train values and capacity up front
-            for f, g in self.sizes:
-                self.train_config(alpha, seed=0).resolved(f * g)
+        for alpha in self.alphas:  # rejects bad train values up front
+            self.train_config(alpha, seed=0)
 
     def train_config(self, alpha, seed):
         """The TrainConfig of this plan's runs at ``alpha`` with train seed ``seed``."""

@@ -28,7 +28,7 @@ from typing import get_args
 
 import numpy as np
 
-from .errors import CapacityError, TrainingFailedError
+from .errors import TrainingFailedError
 from .gaussian import (
     ThetaMatrix,
     covariance_blocks,
@@ -36,13 +36,8 @@ from .gaussian import (
     state_from_theta,
     symmetric_from_upper,
 )
-from .problems import brute_force_solve, expected_energy_exact
-from .torontonian import (
-    ENUMERATION_CAP,
-    full_distribution,
-    pattern_probability,
-    sample,
-)
+from .problems import brute_force_solve
+from .torontonian import full_distribution, pattern_probability, sample
 
 __all__ = [
     "TrainConfig",
@@ -143,12 +138,9 @@ class TrainConfig:
     def resolved(self, n):
         """The config of a run on an N-variable problem, as its record holds
         it: ``max_evals`` None becomes 50N, and "auto" becomes "adam" for
-        exact alpha = 1 and "cobyla" otherwise.  Exact CVaR (alpha < 1,
-        ``shots_k = 0``) above ``ENUMERATION_CAP`` modes raises CapacityError.
+        exact alpha = 1 and "cobyla" otherwise.  It refuses no size: the
+        one mode cap, 20, is the click law's and the brute force's.
         """
-        if self.shots_k == 0 and self.alpha < 1.0 and n > ENUMERATION_CAP:
-            raise CapacityError(f"exact-distribution training at {n} modes exceeds the "
-                                f"enumeration cap {ENUMERATION_CAP}")
         optimizer = self.optimizer
         if optimizer == "auto":
             optimizer = "adam" if self.alpha == 1.0 and self.shots_k == 0 else "cobyla"
@@ -227,12 +219,10 @@ def cvar_exact(qubo, dist, alpha):
 
     Patterns are sorted by energy; probability mass is accumulated up to
     alpha with the boundary atom included fractionally, so the averaged
-    mass is exactly alpha.
+    mass is exactly alpha (at alpha = 1, all of it: <Q> to roundoff).
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    if alpha == 1.0:
-        return expected_energy_exact(qubo, dist)
     energies = qubo.pattern_energies()
     if energies.shape != dist.probs.shape:
         raise ValueError("QUBO size does not match the distribution")

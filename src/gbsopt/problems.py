@@ -303,11 +303,9 @@ def brute_force_solve(qubo):
     degenerate assignments.  The energies are built by
     :meth:`QuboProblem.pattern_energies` in blocks of 2^12 rows, so on a
     fresh problem the solve peaks under ``tracemalloc`` at 1.2 MiB at
-    N = 16 and 9.0 MiB at N = 20.  Raises CapacityError above
-    ``BRUTE_FORCE_CAP`` (20) variables.
+    N = 16 and 9.0 MiB at N = 20.  Above ``BRUTE_FORCE_CAP`` (20)
+    variables ``pattern_energies`` raises CapacityError.
     """
-    if qubo.n > BRUTE_FORCE_CAP:
-        raise CapacityError(f"{qubo.n} variables exceed the brute-force cap {BRUTE_FORCE_CAP}")
     energies = qubo.pattern_energies()
     min_value = float(energies.min())
     scale = float(np.abs(qubo.q).sum() + abs(qubo.offset))

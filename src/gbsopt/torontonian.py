@@ -27,7 +27,8 @@ Accuracy: within 1.3e-15 of a 40-digit evaluation up to spectral radius
 6 (see :func:`full_distribution`).  Memory: a table with k free modes
 holds 2^k floats, and the subset levels of [k] are cached for the largest
 k asked for only, every smaller k reading their leading rows (9 MiB at
-k = 19, the sampler's last mode at 20 modes).
+k = 19, the sampler's last mode at 20 modes).  For all three callers,
+:func:`_dark_law` refuses more than ``BRUTE_FORCE_CAP`` (20) modes.
 
 Pattern indexing convention: bit i of an integer pattern index is the
 outcome of mode i (index = sum_i d_i * 2^i); every 0/1 row is built by
@@ -53,10 +54,8 @@ __all__ = [
     "index_to_pattern",
 ]
 
-#: exact enumeration (and exact-mode training) is refused above this many modes
-ENUMERATION_CAP = 16
-
-#: the one cap on modes for instances, brute force and sampling (2^N work)
+#: the one cap on modes: every table of 2^N entries (instances, brute
+#: force, the click law and so enumeration, sampling and exact training)
 BRUTE_FORCE_CAP = 20
 
 #: negative probabilities within this tolerance are clamped to zero;
@@ -157,8 +156,10 @@ def _dark_law(state, dark, free, reads=None):
     ``reads`` (bitmasks, private to :func:`sample`) names the only entries
     the caller reads.  Entry Z of the transform reads only the supersets
     of Z, so f is computed for those supersets alone; the other entries
-    are left meaningless.
+    are left meaningless.  CapacityError above ``BRUTE_FORCE_CAP`` modes.
     """
+    if state.n_modes > BRUTE_FORCE_CAP:
+        raise CapacityError(f"{state.n_modes} modes exceed the mode cap {BRUTE_FORCE_CAP}")
     dark = np.asarray(dark, dtype=np.uint8)
     free = np.asarray(free, dtype=np.uint8)
     table = np.ones(1 << free.size)
@@ -223,7 +224,9 @@ def full_distribution(state: GaussianState):
     probability that exactly the modes of W stay dark, which is the
     pattern whose index is the complement of W, for all 2^N subsets at
     once (O(N 2^N) arithmetic instead of the O(3^N) of one sum per
-    pattern).  Normalization is checked to 1e-9.
+    pattern).  The table's raw sum, which the Moebius transform makes
+    f(empty set) = 1, is checked to 1e-9 before its negative roundoff is
+    clipped (clipping alone moves the sum by up to 5e-9 at N = 20).
 
     Accuracy, against a 40-digit mpmath evaluation of the same law at
     N = 6 (``pattern_probability`` does as well): every probability was
@@ -240,15 +243,16 @@ def full_distribution(state: GaussianState):
     gathered submatrices, at most BATCH_BYTES (1 MiB), and its Cholesky
     factors at a time, whatever the size of the largest level (C(16, 8)
     subsets at N = 16).
+
+    Above 16 modes it is slow (one core of a shared Intel Xeon host):
+    0.52 s at N = 17, 1.1 s at N = 18, 3.3-4.1 s and a 35 MiB traced peak
+    at N = 20, so 50N exact CVaR evaluations at N >= 18 outlast 600 s.
     """
     n = state.n_modes
-    if n > ENUMERATION_CAP:
-        raise CapacityError(f"{n} modes exceed the enumeration cap {ENUMERATION_CAP}; "
-                            "use sample() instead")
     law = _dark_law(state, np.empty(0), np.arange(n))
+    total = law.sum()  # before clipping, which would add the negative roundoff
     probs = _clamped(law[::-1], "pattern probability")  # index x leaves (2^N - 1) ^ x dark
-    total = probs.sum()
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:  # NaN fails
         raise InvalidStateError(f"distribution sums to {total}, expected 1")
     return PatternDistribution(n_modes=n, probs=probs)
 
@@ -273,15 +277,13 @@ def sample(state: GaussianState, k, seed):
     2 (levels cached), and at 21 MB at N = 20 near the training start
     (every level built inside the trace).
     Deterministic for a given seed; returns a (k, N) 0/1 array, one
-    pattern per row.  Above BRUTE_FORCE_CAP modes raises CapacityError.
+    pattern per row.  Above the one mode cap raises CapacityError.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"sample count must be an integer >= 1, got {k!r}")
     if seed is None:
         raise ValueError("an explicit seed is required")
     n = state.n_modes
-    if n > BRUTE_FORCE_CAP:
-        raise CapacityError(f"{n} modes exceed the sampling cap {BRUTE_FORCE_CAP}")
     uniforms = np.random.default_rng(seed).random((k, n))
     clicks = np.zeros(k, dtype=np.int64)  # bit i: mode i clicked
     prev = np.ones(k)  # each shot's marginal of its outcomes so far

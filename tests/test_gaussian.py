@@ -251,6 +251,9 @@ class TestVacuumMarginal:
             vacuum_marginal(state, [])
         with pytest.raises(ValueError):
             vacuum_marginal(state, [5])
+        for modes, named in (([0.7], "0.7"), ([1.9], "1.9"), ([True], "True")):
+            with pytest.raises(ValueError, match=f"must be integers, got {named}"):
+                vacuum_marginal(state, modes)
 
     def test_corrupted_state_raises(self):
         # P is symmetric with unit diagonal but eigenvalues 1 +- 2: every

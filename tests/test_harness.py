@@ -573,14 +573,15 @@ class TestCli:
 
     def test_plan_over_capacity_exits_3_before_any_file(self, tmp_path, capsys):
         out = tmp_path / "exp"
-        assert main(["experiment", "--sizes", "3x6", "--instances", "1", "--restarts", "1",
+        assert main(["experiment", "--sizes", "3x7", "--instances", "1", "--restarts", "1",
                      "--alphas", "0.1", "--workers", "1", "--out", str(out)]) == 3
-        assert "18 modes exceeds the enumeration cap 16" in capsys.readouterr().err
+        assert "size 3x7 exceeds the 20-mode solver cap" in capsys.readouterr().err
         assert not out.exists()
-        # sampled CVaR and exact alpha = 1 fit every size up to the solver cap
+        # every cost, exact CVaR included, fits every size up to the mode cap
         ExperimentPlan(sizes=[(3, 6)], alphas=[1.0, 0.1], train={"shots_k": 10})
         ExperimentPlan(sizes=[(4, 5)], alphas=[1.0])
-        # instances alone have no alpha, so generate still writes 18 modes
+        ExperimentPlan(sizes=[(4, 5)], alphas=[0.1])
+        # the refused plan left no file, so generate writes its 18-mode instance
         assert main(["generate", "--sizes", "3x6", "--instances", "1", "--out", str(out)]) == 0
         assert len(list(out.glob("18_*.json"))) == 1
 

@@ -113,6 +113,7 @@ class TestCvarExact:
         alphas = [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0]
         values = [cvar_exact(qubo, dist, a) for a in alphas]
         assert all(x <= y + 1e-12 for x, y in zip(values, values[1:]))
+        assert values[-1] == pytest.approx(expected_energy_exact(qubo, dist), rel=1e-12)
 
     def test_small_alpha_ignores_zero_probability_patterns(self):
         # minimum-energy pattern (1,) carries zero probability: the tail
@@ -313,7 +314,7 @@ class TestTrain:
         assert record.n_evals == 1 + 2 * mask_size
 
     def test_exact_mode_capacity(self):
-        qubo = QuboProblem(q=np.zeros((17, 17)))
+        qubo = QuboProblem(q=np.zeros((21, 21)))
         with pytest.raises(CapacityError):
             train(qubo, TrainConfig(seed=1, alpha=0.5))
 
@@ -345,8 +346,7 @@ class TestTrain:
         assert TrainConfig(seed=1).resolved(20).optimizer == "adam"
         fixed = TrainConfig(seed=1, optimizer="cobyla", max_evals=7)
         assert fixed.resolved(6) == fixed
-        with pytest.raises(CapacityError, match="17 modes exceeds the enumeration cap 16"):
-            cfg.resolved(17)
+        assert cfg.resolved(17).max_evals == 850  # the mode cap is not resolved's
 
     @pytest.mark.parametrize("max_seconds", [float("nan"), float("inf"), 0, -1])
     def test_max_seconds_must_be_finite_and_positive(self, max_seconds):

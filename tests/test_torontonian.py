@@ -33,6 +33,7 @@ from gbsopt.torontonian import (
     _dark_law,
     _subset_levels,
     all_patterns,
+    index_to_pattern,
     pattern_index,
 )
 
@@ -266,6 +267,17 @@ class TestPatternProbability:
                 table[pattern], abs=1e-6
             )
 
+    def test_capacity_error_before_any_table(self):
+        state = state_from_theta(ThetaMatrix(np.zeros((21, 21))))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="21 modes exceed the mode cap 20"):
+                pattern_probability(state, np.ones(21, dtype=np.int8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # the table of 2^21 floats would be 16 MiB
+
     def test_rejects_length_mismatch(self):
         state = state_from_theta(ThetaMatrix(np.zeros((2, 2))))
         with pytest.raises(ValueError, match="length"):
@@ -354,8 +366,33 @@ class TestFullDistribution:
         assert np.abs(relabeled - dist.probs).max() < 1e-11
 
     def test_capacity_errors(self):
-        state = state_from_theta(ThetaMatrix(np.zeros((17, 17))))
-        with pytest.raises(CapacityError, match="sample"):
+        state = state_from_theta(ThetaMatrix(np.zeros((21, 21))))
+        with pytest.raises(CapacityError, match="21 modes exceed the mode cap 20"):
+            full_distribution(state)
+
+    def test_twenty_modes_weakly_squeezed(self):
+        # clipping the table's negative roundoff moves its sum by about 4.5e-9
+        # here, so the normalization check must read the raw sum
+        state = random_state(np.random.default_rng(1), 20, spectral_radius=0.05)
+        dist = full_distribution(state)
+        for index in (0, 1, 0b1011, (1 << 20) - 1):
+            pattern = index_to_pattern(index, 20)
+            assert dist.probs[index] == pytest.approx(pattern_probability(state, pattern),
+                                                      rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("fault", ["top stage dropped", "NaN"])
+    def test_normalization_check_fires(self, monkeypatch, fault):
+        def faulty(table):
+            if fault == "NaN":  # which a sum check of the form `> tol` would let through
+                return np.full_like(table, np.nan)
+            for i in range(table.shape[-1].bit_length() - 2):  # every stage but the top
+                pairs = table.reshape(table.shape[:-1] + (-1, 2, 1 << i))
+                pairs[..., 0, :] -= pairs[..., 1, :]
+            return table
+
+        monkeypatch.setattr(gbsopt.torontonian, "_superset_transform", faulty)
+        state = random_state(np.random.default_rng(3), 12, spectral_radius=0.05)
+        with pytest.raises(InvalidStateError, match="sums to"):
             full_distribution(state)
 
     def test_distribution_validates_length(self):
@@ -512,7 +549,7 @@ class TestSample:
 
     def test_capacity_error_above_20_modes(self):
         state = state_from_theta(ThetaMatrix(np.zeros((21, 21))))
-        with pytest.raises(CapacityError, match="21 modes exceed the sampling cap 20"):
+        with pytest.raises(CapacityError, match="21 modes exceed the mode cap 20"):
             sample(state, 10, seed=1)
 
     def test_heavy_squeezing_still_samples_exactly(self):

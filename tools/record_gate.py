@@ -11,7 +11,7 @@ Runs, in a temporary directory and with one worker each:
 * one sampled sweep at 12 modes (3 x 4 modes, 1 instance, 1 restart,
   alpha 0.1, ``shots_k = 1000``, ``max_evals = 38``, base seed 7), whose
   prefixes share vacuum marginals within each mode of the sampler;
-* one sampled sweep at 20 modes, the sampling cap (4 x 5 modes,
+* one sampled sweep at 20 modes, the mode cap (4 x 5 modes,
   1 instance, 1 restart, alpha 0.1, ``shots_k = 1000``, ``max_evals =
   62``, base seed 7), where the sampler's tables of vacuum marginals are
   largest;
@@ -37,7 +37,9 @@ and block, ``same`` or ``differs`` with both hashes.  Where the
 ``result`` blocks differ it also prints the largest |change| of
 ``final_fidelity``, how many ``n_evals`` changed and every success
 decision that flipped: a refactor must keep everything the same, a
-numeric rewrite may move fidelities at roundoff.
+numeric rewrite may move fidelities at roundoff.  It exits 1, after
+printing every line, when any line differs, so a script can gate a
+refactor on it.
 
     python tools/record_gate.py --against ../parent/src
 
@@ -203,19 +205,22 @@ def main(argv=None):
             for name, output in ours.items():
                 for key, value in _hashes(output, dropped).items():
                     print(f"{name} {key} {value}")
-            return
+            return 0
         theirs = _gate_outputs(Path(args.against).resolve(), Path(tmp) / "against")
+        differs = False
         for name, output in ours.items():
             other = _hashes(theirs[name], dropped)
             for key, value in _hashes(output, dropped).items():
                 if value == other[key]:
                     print(f"{name} {key} same {value}")
                     continue
+                differs = True
                 line = f"{name} {key} differs {value} {other[key]}"
                 if key == "result":
                     line += " " + _result_drift(output["records"], theirs[name]["records"])
                 print(line)
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
