@@ -45,6 +45,7 @@ floats; the kernel gathers at most BATCH_BYTES of submatrices per batch,
 and their Cholesky factors take as much again.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -96,21 +97,41 @@ def _frozen_array(a, dtype=None):
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def triangle_indices(n, k=0):
+    """``np.triu_indices(n, k)``, built once per (n, k) and read-only.
+
+    The one source of the row-major triangle order: theta's upper
+    triangle (k = 0) and the mode pairs i < j (k = 1).  The cache holds
+    64 entries, so every n up to the mode cap, 20, fits with both k.
+    """
+    return tuple(_frozen_array(a) for a in np.triu_indices(n, k))
+
+
+@functools.lru_cache(maxsize=64)
+def _symmetric_slots(n):
+    """Flat positions in an n x n matrix of the upper triangle and of its mirror."""
+    rows, cols = triangle_indices(n)
+    return _frozen_array(rows * n + cols), _frozen_array(cols * n + rows)
+
+
 def symmetric_from_upper(n, upper):
     """Symmetric (..., n, n) arrays from row-major upper triangles.
 
     ``upper`` has shape (..., n(n+1)/2) and lists each triangle, diagonal
-    included, in ``np.triu_indices(n)`` order: the canonical parameter
+    included, in ``triangle_indices(n)`` order: the canonical parameter
     order of the trainable matrix.
     """
     upper = np.asarray(upper, dtype=float)
-    rows, cols = np.triu_indices(n)
-    if upper.shape[-1:] != rows.shape:
-        raise ValueError(f"expected {rows.size} upper-triangle entries, got {upper.shape}")
-    out = np.zeros(upper.shape[:-1] + (n, n))
-    out[..., rows, cols] = upper
-    out[..., cols, rows] = upper
-    return out
+    upper_slots, lower_slots = _symmetric_slots(n)
+    if upper.shape[-1:] != upper_slots.shape:
+        raise ValueError(
+            f"expected {upper_slots.size} upper-triangle entries, got {upper.shape}"
+        )
+    out = np.zeros(upper.shape[:-1] + (n * n,))
+    out[..., upper_slots] = upper
+    out[..., lower_slots] = upper
+    return out.reshape(upper.shape[:-1] + (n, n))
 
 
 @dataclass(frozen=True)
@@ -147,7 +168,7 @@ class ThetaMatrix:
 
     def upper(self):
         """Row-major upper triangle as a vector (inverse of from_upper)."""
-        return self.entries[np.triu_indices(self.n_modes)]
+        return self.entries[triangle_indices(self.n_modes)]
 
 
 @dataclass(frozen=True)
@@ -351,12 +372,12 @@ def pair_vacuum_marginals(blocks):
     ``blocks`` stacks P and Q as (2, ..., N, N), as :func:`covariance_blocks`
     returns them.  Returns the (..., N) one-mode marginals
     1 / sqrt(P_ii Q_ii) and the (..., N(N-1)/2) two-mode marginals of the
-    pairs i < j in ``np.triu_indices(N, 1)`` order, from the 2 x 2 minors
+    pairs i < j in ``triangle_indices(N, 1)`` order, from the 2 x 2 minors
     P_ii P_jj - P_ij^2 and Q_ii Q_jj - Q_ij^2.  A minor that is not
     positive raises InvalidStateError.
     """
     n = blocks.shape[-1]
-    ii, jj = np.triu_indices(n, 1)
+    ii, jj = triangle_indices(n, 1)
     diag = np.diagonal(blocks, axis1=-2, axis2=-1)
     minors = diag[..., ii] * diag[..., jj] - blocks[..., ii, jj] ** 2
     if not (np.all(diag > 0) and np.all(minors > 0)):

@@ -35,6 +35,7 @@ from .gaussian import (
     pair_vacuum_marginals,
     state_from_theta,
     symmetric_from_upper,
+    triangle_indices,
 )
 from .problems import brute_force_solve
 from .torontonian import full_distribution, pattern_probability, sample
@@ -194,7 +195,7 @@ def build_mask(qubo, mask_size):
     value (most favorable couplings first).  Ties break lexicographically
     by (i, j), so the mask is deterministic.
     """
-    rows, cols = np.triu_indices(qubo.n)
+    rows, cols = triangle_indices(qubo.n)
     if mask_size > rows.size:
         raise ValueError(f"mask_size {mask_size} exceeds {rows.size} candidates")
     ranked = np.lexsort((cols, rows, qubo.q[rows, cols]))[:mask_size]
@@ -247,8 +248,14 @@ def _energies_from_blocks(blocks, qubo):
 
     so the whole expectation costs the O(N^2) closed-form 1 x 1 and 2 x 2
     minors of P and Q per state.
+
+    Each state's <Q> ends in matrix-vector products over the stack, and
+    the BLAS kernel behind them (gemv) depends on the stack's shape: a row
+    of a stacked call can differ in its last bits from the one-row call on
+    the same blocks.  This is why ADAM takes its iterate's cost from a
+    one-row reduction, the same one every other evaluation makes.
     """
-    ii, jj = np.triu_indices(qubo.n, 1)  # pairs i < j in row-major order
+    ii, jj = triangle_indices(qubo.n, 1)  # pairs i < j in row-major order
     pv1, pv2 = pair_vacuum_marginals(blocks)
     diag = np.diag(qubo.q)
     out = pv1 @ (-diag) + diag.sum()
@@ -288,7 +295,7 @@ class _Objective:
         self.n = qubo.n
         self.upper = np.array(theta_init_upper)
         slot_of = np.zeros((self.n, self.n), dtype=int)
-        slot_of[np.triu_indices(self.n)] = np.arange(self.upper.size)
+        slot_of[triangle_indices(self.n)] = np.arange(self.upper.size)
         self.mask_slots = np.array([slot_of[p] for p in mask.indices])
         self.trace = []
         self.n_evals = 0
@@ -337,7 +344,10 @@ class _Objective:
 
     def __call__(self, params):
         self._check_budget()
-        cost = self._cost(params)
+        return self._record(params, self._cost(params))
+
+    def _record(self, params, cost):
+        """Count, trace and best-track one evaluation of ``params``."""
         self.n_evals += 1
         self.trace.append((self.n_evals, float(cost)))
         if not np.isfinite(cost):
@@ -379,33 +389,56 @@ def _run_cobyla(objective, x0):
         pass
 
 
+def _adam_pass(objective, params):
+    """Evaluate the iterate ``params`` and its 2m probes in one batched pass.
+
+    Row 0 of the batch is the iterate; rows 2k + 1 and 2k + 2 shift
+    parameter k by +FD_STEP and -FD_STEP.  One ``covariance_blocks`` call
+    builds every row (each bit for bit its one-row result).  The iterate is
+    recorded like any evaluation, its cost taken from a one-row reduction
+    of row 0; the probes are only counted.  A probe whose e^{+-2 theta}
+    overflows raises InvalidStateError before the iterate is recorded, not
+    just after it; only a non-finite iterate cost in that same step would
+    have raised first.  Returns the 2m probe costs, +/- pairs adjacent;
+    the blocks are dropped on return.
+    """
+    dim = params.size
+    slots = np.arange(dim)
+    rows = np.repeat(params[np.newaxis], 2 * dim + 1, axis=0)
+    rows[2 * slots + 1, slots] += FD_STEP
+    rows[2 * slots + 2, slots] -= FD_STEP
+    thetas = objective.theta_matrix_for(rows)
+    ThetaMatrix(thetas[0])  # the iterate's checks, as every evaluation makes them
+    blocks = covariance_blocks(thetas)
+    qubo = objective.qubo
+    objective._record(params, float(_energies_from_blocks(blocks[:, :1], qubo)[0]))
+    costs = _energies_from_blocks(blocks[:, 1:], qubo)
+    objective.n_evals += 2 * dim
+    if not np.all(np.isfinite(costs)):
+        raise TrainingFailedError("non-finite training cost", trace=objective.trace)
+    return costs
+
+
 def _run_adam(objective, x0):
     """ADAM on the analytic cost; gradients by central differences.
 
-    The 2m probe evaluations per step go through the batched analytic
-    evaluator and are counted against ``n_evals``; the trace records one
-    entry per step (the cost at the current iterate).
+    Each step makes one batched pass (:func:`_adam_pass`) over 2m + 1
+    rows: row 0 is the iterate, rows 2k + 1 and 2k + 2 its probes at
+    +FD_STEP and -FD_STEP in parameter k.  The iterate is one evaluation
+    in ``n_evals`` and one trace entry; the 2m probes are counted against
+    ``n_evals`` but not traced.
     """
     cfg = objective.cfg
     params = np.array(x0)
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    dim = params.size
-    slots = np.arange(dim)
     for step in range(1, cfg.adam_steps + 1):
         try:
-            objective(params)
+            objective._check_budget()
         except _EvalBudget:
             break
-        # rows 2k and 2k + 1 shift parameter k by +FD_STEP and -FD_STEP
-        probes = np.repeat(params[np.newaxis], 2 * dim, axis=0)
-        probes[2 * slots, slots] += FD_STEP
-        probes[2 * slots + 1, slots] -= FD_STEP
-        costs = _analytic_energies(objective.theta_matrix_for(probes), objective.qubo)
-        objective.n_evals += 2 * dim
-        if not np.all(np.isfinite(costs)):
-            raise TrainingFailedError("non-finite training cost", trace=objective.trace)
+        costs = _adam_pass(objective, params)
         grad = (costs[0::2] - costs[1::2]) / (2.0 * FD_STEP)
         m = beta1 * m + (1.0 - beta1) * grad
         v = beta2 * v + (1.0 - beta2) * grad**2

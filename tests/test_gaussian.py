@@ -1,5 +1,8 @@
 """Tests for the state-construction layer."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,8 @@ from gbsopt import (
     takagi_decompose,
     vacuum_marginal,
 )
-from gbsopt.gaussian import covariance_blocks, pair_vacuum_marginals
+from gbsopt import gaussian
+from gbsopt.gaussian import covariance_blocks, pair_vacuum_marginals, triangle_indices
 from gbsopt.optim import _analytic_energies
 from gbsopt.torontonian import all_patterns, pattern_probability
 
@@ -48,6 +52,36 @@ class TestThetaMatrix:
         theta = ThetaMatrix(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             theta.entries[0, 0] = 1.0
+
+
+class TestTriangleIndices:
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_equals_triu_indices_and_is_read_only(self, k):
+        for n in range(1, 21):
+            rows, cols = triangle_indices(n, k)
+            expected_rows, expected_cols = np.triu_indices(n, k)
+            assert np.array_equal(rows, expected_rows)
+            assert np.array_equal(cols, expected_cols)
+            assert not (rows.flags.writeable or cols.flags.writeable)
+            assert triangle_indices(n, k) is triangle_indices(n, k)
+
+    def test_no_other_triu_indices_call_in_the_package(self):
+        # every triangle of the package comes from the one cached helper
+        calls = []
+        for path in sorted(Path(gaussian.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            helper = [node for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef) and node.name == "triangle_indices"]
+            inside = {id(node) for h in helper for node in ast.walk(h)}
+            calls += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and "triu_indices" in (getattr(node.func, "attr", None),
+                                       getattr(node.func, "id", None))
+                and id(node) not in inside
+            ]
+        assert calls == []
 
 
 class TestTakagi:

@@ -21,6 +21,7 @@ from gbsopt import (
     state_from_theta,
     train,
 )
+from gbsopt import optim
 from gbsopt.optim import INIT_SCALE, MASK_PER_MODE, ParameterMask, _analytic_energies
 from gbsopt.torontonian import PatternDistribution
 
@@ -251,6 +252,26 @@ class TestTrain:
         for slot, ij in enumerate(zip(*np.triu_indices(qubo.n))):
             if ij not in masked:
                 assert trained_upper[slot] == init_upper[slot]
+
+    @pytest.mark.parametrize("n_flights, n_gates", [(2, 3), (4, 4)])
+    def test_adam_trace_is_the_one_row_cost_of_each_iterate(
+        self, monkeypatch, n_flights, n_gates
+    ):
+        # ADAM evaluates each iterate in a batch with its probes; its traced
+        # cost must still be, bit for bit, the one-row cost of that iterate
+        qubo = assemble_qubo(generate_instance(n_flights, n_gates, seed=3))
+        iterates = []
+        record = optim._Objective._record
+
+        def spy(objective, params, cost):
+            iterates.append((objective, np.array(params)))
+            return record(objective, params, cost)
+
+        monkeypatch.setattr(optim._Objective, "_record", spy)
+        trained = train(qubo, TrainConfig(seed=5, adam_steps=60))
+        assert len(iterates) == len(trained.cost_trace) == 61
+        for (objective, params), (_, cost) in zip(iterates, trained.cost_trace):
+            assert cost == objective._cost(params)
 
     def test_eval_budget_respected(self):
         instance = generate_instance(2, 2, seed=17)

@@ -16,7 +16,6 @@ from gbsopt import (
     load_instance,
 )
 from gbsopt.problems import (
-    ENERGY_BLOCK_ROWS,
     _constraints_bind,
     dump_instance,
     satisfies_constraints,
@@ -159,8 +158,7 @@ class TestQuboProblem:
 
     @pytest.mark.parametrize("n", [1, 4, 12, 13, 16])
     def test_blocked_energies_equal_one_whole_table_einsum(self, n):
-        # under one block, exactly one block (2^12 rows), and 2 or 16 blocks
-        assert ENERGY_BLOCK_ROWS == 1 << 12
+        # the in-place sub-cube sums keep einsum's order, so equality is exact
         qubo = random_qubo(n, seed=n)
         x = all_patterns(n).astype(float)
         whole = np.einsum("mi,ij,mj->m", x, qubo.q, x) + qubo.offset
@@ -171,12 +169,11 @@ class TestQuboProblem:
         qubo = random_qubo(n, seed=20)
         energies = qubo.pattern_energies()
         rng = np.random.default_rng(5)
-        last = (1 << n) - ENERGY_BLOCK_ROWS
+        # no bit, every bit, each single bit (a diagonal sub-cube only), and random rows
         rows = np.concatenate([
-            [0, ENERGY_BLOCK_ROWS - 1, ENERGY_BLOCK_ROWS, last - 1, last, (1 << n) - 1],
-            rng.integers(0, ENERGY_BLOCK_ROWS, 50),
-            rng.integers(last, 1 << n, 50),
-            rng.integers(0, 1 << n, 200),
+            [0, (1 << n) - 1],
+            1 << np.arange(n),
+            rng.integers(0, 1 << n, 300),
         ])
         for index in rows:
             x = index_to_pattern(index, n).astype(float)
@@ -222,7 +219,7 @@ class TestBruteForce:
             assert truth.min_value == pytest.approx(best, rel=1e-12)
             assert [tuple(m) for m in truth.minimizers] == minimizers
 
-    @pytest.mark.parametrize("n, bound_mb", [(16, 2.0), (20, 10.0)])
+    @pytest.mark.parametrize("n, bound_mb", [(16, 1.0), (20, 10.0)])
     def test_traced_peak(self, n, bound_mb):
         # a fresh problem, so the energies are built inside the trace
         qubo = random_qubo(n, seed=n)

@@ -18,6 +18,9 @@ Runs, in a temporary directory and with one worker each:
 * one ADAM sweep at the shape of the ``analytic-mean`` benchmark
   (4 x 4 modes, 1 instance, 1 restart, alpha 1.0, ``adam_steps = 100``,
   base seed 7), which runs the batched closed-form <Q>;
+* one ADAM sweep at 20 modes, the mode cap (4 x 5 modes, 1 instance,
+  1 restart, alpha 1.0, ``adam_steps = 10``, base seed 7), which pins
+  the pattern energies at the cap and the ADAM path through a whole run;
 * the record of acceptance criterion 9: ``gbsopt generate --sizes 2x3
   --instances 2 --base-seed 99`` and ``gbsopt train <first instance>
   --alpha 0.1 --seed 17``;
@@ -80,6 +83,8 @@ SWEEPS = [
                       "train": {"shots_k": 1000, "max_evals": 62}}),
     ("analytic16-b7", {"sizes": [[4, 4]], "instances_per_size": 1, "restarts": 1,
                        "alphas": [1.0], "base_seed": 7, "train": {"adam_steps": 100}}),
+    ("analytic20-b7", {"sizes": [[4, 5]], "instances_per_size": 1, "restarts": 1,
+                       "alphas": [1.0], "base_seed": 7, "train": {"adam_steps": 10}}),
 ]
 SWEEP_BASE = {"sizes": [[2, 3]], "instances_per_size": 2, "restarts": 2,
               "thresholds": [0.1, 0.01]}
