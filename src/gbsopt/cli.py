@@ -23,7 +23,7 @@ from .harness import (
     write_instances,
     write_record,
 )
-from .optim import DEFAULT_THRESHOLDS, OPTIMIZERS, TrainConfig, checked_thresholds, train
+from .optim import OPTIMIZERS, TrainConfig, train
 from .problems import assemble_qubo, brute_force_solve, load_instance
 
 EXIT_OK = 0
@@ -87,13 +87,11 @@ def cmd_generate(args):
     values = _merged(
         _GENERATE_DEFAULTS,
         _load_config(args.config, _GENERATE_DEFAULTS),
-        {"sizes": args.sizes, "instances": args.instances, "base_seed": args.base_seed},
+        {"sizes": _parse_sizes(args.sizes) if args.sizes else None,
+         "instances": args.instances, "base_seed": args.base_seed},
     )
-    sizes = values["sizes"]
-    if isinstance(sizes, str):
-        sizes = _parse_sizes(sizes)
     # instances depend on sizes, counts and seed alone; alpha 1 runs fit every size
-    plan = ExperimentPlan(sizes=sizes, instances_per_size=values["instances"],
+    plan = ExperimentPlan(sizes=values["sizes"], instances_per_size=values["instances"],
                           base_seed=values["base_seed"], alphas=[1.0])
     for _, path in write_instances(plan, Path(args.out)).values():
         print(path)
@@ -127,23 +125,21 @@ def cmd_solve(args):
 
 _TRAIN_DEFAULTS = {
     f.name: f.default for f in fields(TrainConfig) if f.default is not MISSING
-} | {"seed": 0, "thresholds": list(DEFAULT_THRESHOLDS)}
+} | {"seed": 0}
 
 
 def cmd_train(args):
     file_cfg = _load_config(args.config, _TRAIN_DEFAULTS)
     flag_values = {key: getattr(args, key) for key in _TRAIN_DEFAULTS}
     flag_values["thresholds"] = _parse_floats(args.thresholds) if args.thresholds else None
-    values = _merged(_TRAIN_DEFAULTS, file_cfg, flag_values)
-    thresholds = checked_thresholds(values.pop("thresholds"))
+    cfg = TrainConfig(**_merged(_TRAIN_DEFAULTS, file_cfg, flag_values))
 
     instance_path = Path(args.instance)
     instance = _read_instance(instance_path)
     out_path = Path(args.out) if args.out else instance_path.with_suffix(".record.json")
-    task = RunTask(instance, instance_path.name,
-                   TrainConfig(**values).resolved(instance.n_modes), thresholds, out_path)
+    task = RunTask(instance, instance_path.name, cfg.resolved(instance.n_modes), out_path)
     started = time.monotonic()
-    record = train(assemble_qubo(instance), task.cfg, thresholds)
+    record = train(assemble_qubo(instance), task.cfg)
     write_record(task, record, time.monotonic() - started)
     print(
         f"{out_path}: fidelity {record.final_fidelity:.6f} "

@@ -8,14 +8,15 @@ separate ``metadata`` field), so re-running a finished or interrupted
 sweep skips completed records by content hash and reproduces the same
 report.  A run that raises records the exception as its ``error``; one
 that hits ``max_seconds`` keeps its best theta, with ``error`` "timeout".
-A run's training config is ``TrainConfig(seed, alpha, **plan.train)``
-resolved for its size, so every default comes from ``TrainConfig``, as
-for ``gbsopt train``.
+A run's whole config is ``TrainConfig(seed, alpha, **plan.train,
+thresholds=plan.thresholds)`` resolved for its size, so every default
+comes from ``TrainConfig``, as for ``gbsopt train``.
 
 Report files:
 
 * ``report.csv``    - N, alpha, threshold, success_fraction, n_instances
-* ``runs.csv``      - one row per training run
+* ``runs.csv``      - one row per training run, read once from its record
+  by ``_run_row``; the sweep, resumption and ``verify_report`` share it
 * ``instances.csv`` - per (instance, alpha): best fidelity over restarts,
   success flags, evaluations used, wall time
 * ``report.json``   - the same content plus the fully resolved plan
@@ -70,11 +71,13 @@ __all__ = [
 RECORD_FORMAT_VERSION = 2
 REPORT_FORMAT_VERSION = 2
 REPORT_COLUMNS = ["n_modes", "alpha", "threshold", "success_fraction", "n_instances"]
+#: the first columns of runs.csv, read from a record's run block
+RUN_KEYS = ["n_modes", "n_flights", "n_gates", "instance_id", "alpha", "restart"]
 
 #: the keys of a plan's ``train`` block: TrainConfig's defaults bar the
-#: per-run seed and alpha
+#: per-run seed and alpha and the plan's own thresholds
 DEFAULT_TRAIN_OVERRIDES = {
-    f.name: f.default for f in fields(TrainConfig) if f.name not in ("seed", "alpha")
+    f.name: f.default for f in fields(TrainConfig) if f.name not in ("seed", "alpha", "thresholds")
 }
 
 
@@ -92,6 +95,8 @@ def default_sizes():
 
 
 def _normalize_sizes(sizes):
+    if isinstance(sizes, str):
+        raise ValueError(f"sizes = {sizes!r} must be a list of mode counts or pairs")
     out = []
     for entry in sizes:
         if _is_integer(entry):
@@ -142,8 +147,8 @@ class ExperimentPlan:
             raise ValueError("instance and restart counts must be >= 1")
         if self.base_seed < 0:
             raise ValueError(f"base_seed = {self.base_seed} must be >= 0")
-        if not self.sizes:
-            raise ValueError("at least one size is required")
+        if not self.sizes or not self.alphas:
+            raise ValueError("at least one size and one alpha are required")
         for f, g in self.sizes:
             if f * g > BRUTE_FORCE_CAP:
                 raise CapacityError(
@@ -162,7 +167,7 @@ class ExperimentPlan:
 
     def train_config(self, alpha, seed):
         """The TrainConfig of this plan's runs at ``alpha`` with train seed ``seed``."""
-        return TrainConfig(seed=seed, alpha=alpha, **self.train)
+        return TrainConfig(seed=seed, alpha=alpha, **self.train, thresholds=self.thresholds)
 
     @classmethod
     def from_dict(cls, data):
@@ -234,7 +239,6 @@ class RunTask:
     instance: FgaInstance
     instance_file: str
     cfg: TrainConfig
-    thresholds: tuple
     record_path: Path
     restart: int = 0
 
@@ -252,14 +256,9 @@ class RunTask:
         }
 
     @property
-    def config(self):
-        """The record's ``config`` block: the TrainConfig's fields and the thresholds."""
-        return asdict(self.cfg) | {"thresholds": [float(t) for t in self.thresholds]}
-
-    @property
     def config_sha256(self):
         """Content hash of the record's run and config blocks; keys resumption."""
-        blocks = {"run": self.run, "config": self.config}
+        blocks = {"run": self.run, "config": asdict(self.cfg)}
         return hashlib.sha256(json.dumps(blocks, sort_keys=True).encode()).hexdigest()
 
 
@@ -281,7 +280,7 @@ def write_record(task, trained, wall_time_s):
             "cost_trace": [],
             "n_evals": 0,
             "final_fidelity": 0.0,
-            "success": {str(float(t)): False for t in task.thresholds},
+            "success": {str(t): False for t in task.cfg.thresholds},
             "timed_out": False,
             "error": trained,
         }
@@ -300,7 +299,7 @@ def write_record(task, trained, wall_time_s):
         "format_version": RECORD_FORMAT_VERSION,
         "kind": "train_record",
         "run": task.run,
-        "config": task.config,
+        "config": asdict(task.cfg),
         "result": result,
         "metadata": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -327,31 +326,28 @@ def _atomic_write(path: Path, text: str):
 
 
 def execute_run(task):
-    """Run one training task and write its record file.  Returns a summary.
+    """Run one training task and write its record file.  Returns its runs.csv row.
 
     Any exception is captured into the record as an error tag; a sweep
     never aborts because a single run failed.
     """
     started = time.monotonic()
     try:
-        trained = train(assemble_qubo(task.instance), task.cfg, task.thresholds)
+        trained = train(assemble_qubo(task.instance), task.cfg)
     except Exception as exc:  # noqa: BLE001 - partial-failure policy
         trained = f"{type(exc).__name__}: {exc}"
-    return _summary_from_record(write_record(task, trained, time.monotonic() - started))
+    record = write_record(task, trained, time.monotonic() - started)
+    return _run_row(record, task.cfg.thresholds)
 
 
-def _summary_from_record(record):
-    result = record["result"]
-    run = record["run"]
+def _run_row(record, thresholds):
+    """The runs.csv row of a run record, with one success_<t> column per
+    threshold t of the plan."""
+    run, result = record["run"], record["result"]
     return {
-        "n_modes": run["n_modes"],
-        "n_flights": run["n_flights"],
-        "n_gates": run["n_gates"],
-        "instance_id": run["instance_id"],
-        "alpha": run["alpha"],
-        "restart": run["restart"],
+        **{key: run[key] for key in RUN_KEYS},
         "final_fidelity": result["final_fidelity"],
-        "success": dict(result["success"]),
+        **{f"success_{t:g}": result["success"].get(str(t), False) for t in thresholds},
         "n_evals": result["n_evals"],
         "wall_time_s": record.get("metadata", {}).get("wall_time_s", 0.0),
         "error": result["error"],
@@ -373,29 +369,27 @@ def _build_tasks(plan, out_dir: Path):
         # records carry the size-resolved config (max_evals and optimizer
         # filled in), which also feeds the resume hash
         cfg = plan.train_config(alpha, _derive_seed(seed, restart)).resolved(instance.n_modes)
-        tasks.append(
-            RunTask(instance, path.name, cfg, plan.thresholds, runs_dir / record_name, restart)
-        )
+        tasks.append(RunTask(instance, path.name, cfg, runs_dir / record_name, restart))
     return tasks
 
 
-def _read_record(path):
-    """(config_sha256, summary) of the record file at ``path``; GbsOptError
-    naming the file when it cannot be read or lacks a block."""
+def _read_record(path, thresholds):
+    """(config_sha256, runs.csv row) of the record file at ``path``;
+    GbsOptError naming the file when it cannot be read or lacks a block."""
     try:
         record = json.loads(path.read_text())
-        return record.get("config_sha256"), _summary_from_record(record)
+        return record.get("config_sha256"), _run_row(record, thresholds)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise GbsOptError(f"unreadable run record {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _resume_summary(task):
-    """Summary from an existing record if it reads and matches the task, else None."""
+def _resume_row(task):
+    """The row of an existing record if it reads and matches the task, else None."""
     try:
-        config_sha256, summary = _read_record(task.record_path)
+        config_sha256, row = _read_record(task.record_path, task.cfg.thresholds)
     except GbsOptError:
         return None
-    return summary if config_sha256 == task.config_sha256 else None
+    return row if config_sha256 == task.config_sha256 else None
 
 
 def resolve_workers(workers=None):
@@ -422,18 +416,18 @@ def run_experiment(plan, out_dir, workers=None):
     workers = resolve_workers(workers)
     out_dir = Path(out_dir)
     tasks = _build_tasks(plan, out_dir)
-    resumed = [_resume_summary(task) for task in tasks]
-    summaries = [summary for summary in resumed if summary is not None]
-    pending = [task for task, summary in zip(tasks, resumed) if summary is None]
+    resumed = [_resume_row(task) for task in tasks]
+    rows = [row for row in resumed if row is not None]
+    pending = [task for task, row in zip(tasks, resumed) if row is None]
     if pending:
         if workers == 1:
-            summaries.extend(execute_run(task) for task in pending)
+            rows.extend(execute_run(task) for task in pending)
         else:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                summaries.extend(pool.map(execute_run, pending))
-    report = build_report(plan, summaries)
+                rows.extend(pool.map(execute_run, pending))
+    report = build_report(plan, rows)
     write_report(report, out_dir)
     return report
 
@@ -464,10 +458,10 @@ class SuccessReport:
         raise KeyError((n_modes, alpha, threshold))
 
 
-def build_report(plan, summaries):
-    """Pure aggregation of run summaries into a SuccessReport."""
+def build_report(plan, run_rows):
+    """Pure aggregation of runs.csv rows (see ``_run_row``) into a SuccessReport."""
     run_rows = sorted(
-        summaries,
+        run_rows,
         key=lambda s: (s["n_modes"], s["instance_id"], s["alpha"], s["restart"]),
     )
     by_instance = {}
@@ -489,7 +483,7 @@ def build_report(plan, summaries):
             "n_errors": len(runs) - len(clean),
         }
         for t in plan.thresholds:
-            row[f"success_{t:g}"] = any(r["success"].get(str(t), False) for r in clean)
+            row[f"success_{t:g}"] = any(r[f"success_{t:g}"] for r in clean)
         instance_rows.append(row)
 
     rows = []
@@ -537,17 +531,8 @@ def write_report(report, out_dir):
     instance_cols = (["n_modes", "instance_id", "alpha", "best_fidelity"] + threshold_cols
                      + ["n_evals", "wall_time_s", "n_errors"])
     _atomic_write(out_dir / "instances.csv", _csv_text(instance_cols, report.instance_rows))
-    run_cols = (
-        ["n_modes", "n_flights", "n_gates", "instance_id", "alpha", "restart",
-         "final_fidelity"] + threshold_cols + ["n_evals", "wall_time_s", "error"]
-    )
-    run_rows = []
-    for s in report.run_rows:
-        row = dict(s)
-        for t in report.plan.thresholds:
-            row[f"success_{t:g}"] = s["success"].get(str(t), False)
-        run_rows.append({k: row[k] for k in run_cols})
-    _atomic_write(out_dir / "runs.csv", _csv_text(run_cols, run_rows))
+    run_cols = RUN_KEYS + ["final_fidelity"] + threshold_cols + ["n_evals", "wall_time_s", "error"]
+    _atomic_write(out_dir / "runs.csv", _csv_text(run_cols, report.run_rows))
     payload = {
         "format_version": REPORT_FORMAT_VERSION,
         "kind": "success_report",
@@ -585,7 +570,8 @@ def verify_report(out_dir):
             f"run records do not match the plan: missing {sorted(expected - found)}, "
             f"unexpected {sorted(found - expected)}"
         )
-    rebuilt = build_report(plan, [_read_record(runs_dir / name)[1] for name in sorted(expected)])
+    rows = [_read_record(runs_dir / name, plan.thresholds)[1] for name in sorted(expected)]
+    rebuilt = build_report(plan, rows)
     stored = (out_dir / "report.csv").read_text().splitlines()
     for got, want in zip_longest(stored, _csv_text(REPORT_COLUMNS, rebuilt.rows).splitlines()):
         if got != want:

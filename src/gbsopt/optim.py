@@ -84,12 +84,14 @@ def check_field_types(obj):
 
 
 def checked_thresholds(thresholds):
-    """``thresholds`` as a tuple of floats, each a finite t with 0 <= t < 1
-    (a fidelity above t counts as success); ValueError otherwise."""
+    """``thresholds`` as a nonempty tuple of floats, each a finite t with
+    0 <= t < 1 (a fidelity above t counts as success); ValueError otherwise."""
     try:
         values = tuple(float(t) for t in thresholds)
     except TypeError as exc:
         raise ValueError(f"thresholds must be a list of numbers: {exc}") from exc
+    if not values:
+        raise ValueError("at least one threshold is required")
     for t in values:
         if not 0.0 <= t < 1.0:  # NaN fails
             raise ValueError(f"threshold {t!r} must be finite with 0 <= t < 1")
@@ -98,13 +100,15 @@ def checked_thresholds(thresholds):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The knobs of one training run, and the one owner of their defaults,
-    which plans, sweeps and ``gbsopt train`` all start from.
+    """The whole config of one training run (a record's ``config`` block),
+    and the one owner of its defaults, which plans, sweeps and ``gbsopt
+    train`` all start from.
 
     ``shots_k = 0`` selects exact-distribution mode.  ``optimizer`` is
     "cobyla" (derivative-free linear-approximation trust region), "adam"
     (first-order on the analytic alpha = 1 cost) or "auto", which
-    :meth:`resolved` picks one of, as it fills in ``max_evals``.  The mask
+    :meth:`resolved` picks one of, as it fills in ``max_evals``.  A run
+    succeeds at each of ``thresholds`` below its fidelity.  The mask
     size, the initialization scale and the ADAM step size are not knobs:
     see ``MASK_PER_MODE``, ``INIT_SCALE`` and ``ADAM_LR``.
     """
@@ -116,8 +120,10 @@ class TrainConfig:
     optimizer: str = "auto"
     adam_steps: int = 500
     max_seconds: float | None = 600.0
+    thresholds: tuple = DEFAULT_THRESHOLDS
 
     def __post_init__(self):
+        object.__setattr__(self, "thresholds", checked_thresholds(self.thresholds))
         check_field_types(self)
         if self.seed < 0:
             raise ValueError(f"seed = {self.seed} must be >= 0")
@@ -462,14 +468,15 @@ def state_fidelity(theta, ground_truth):
     )
 
 
-def train(qubo, cfg, thresholds=DEFAULT_THRESHOLDS):
+def train(qubo, cfg):
     """One training run: masked initialization, optimization, fidelity.
 
     The parameter matrix starts with all upper-triangle entries i.i.d.
     uniform on [-INIT_SCALE, INIT_SCALE]; only the min(MASK_PER_MODE * N,
     N(N+1)/2) entries chosen by ``build_mask`` move.  ``cfg`` is resolved
-    for N first (see :meth:`TrainConfig.resolved`).  The returned record is
-    a pure function of (qubo, cfg, thresholds).
+    for N first (see :meth:`TrainConfig.resolved`), and success is judged
+    at ``cfg.thresholds``.  The returned record is a pure function of
+    (qubo, cfg).
     """
     cfg = cfg.resolved(qubo.n)
 
@@ -497,6 +504,6 @@ def train(qubo, cfg, thresholds=DEFAULT_THRESHOLDS):
         cost_trace=tuple(objective.trace),
         n_evals=objective.n_evals,
         final_fidelity=fidelity,
-        success={float(t): fidelity > t for t in thresholds},
+        success={t: fidelity > t for t in cfg.thresholds},
         timed_out=objective.timed_out,
     )

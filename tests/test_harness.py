@@ -131,6 +131,10 @@ class TestPlan:
             ({"thresholds": [float("nan"), 0.1]}, "threshold nan must be finite"),
             ({"thresholds": [1.0]}, "threshold 1.0 must be finite"),
             ({"thresholds": [float("inf")]}, "threshold inf must be finite"),
+            ({"thresholds": []}, "at least one threshold is required"),
+            ({"alphas": []}, "at least one size and one alpha"),
+            ({"sizes": []}, "at least one size and one alpha"),
+            ({"sizes": "2x3"}, "sizes = '2x3' must be a list"),
         ):
             with pytest.raises(ValueError, match=named):
                 ExperimentPlan.from_dict(plan)
@@ -265,11 +269,11 @@ class TestRunExperiment:
         real_train = harness.train
         calls = {"n": 0}
 
-        def flaky_train(qubo, cfg, thresholds):
+        def flaky_train(qubo, cfg):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("synthetic failure")
-            return real_train(qubo, cfg, thresholds)
+            return real_train(qubo, cfg)
 
         monkeypatch.setattr(harness, "train", flaky_train)
         plan = ExperimentPlan.from_dict(TINY_PLAN)
@@ -398,12 +402,13 @@ class TestCli:
 
     def test_train_record_matches_sweep_record(self, tmp_path):
         assert set(ExperimentPlan().train) == (
-            {f.name for f in fields(TrainConfig)} - {"seed", "alpha"}
+            {f.name for f in fields(TrainConfig)} - {"seed", "alpha", "thresholds"}
         )
-        _, swept, trained, instance = sweep_then_train(tmp_path, {"max_evals": 40})
-        assert swept["config"]["seed"] == _derive_seed(
-            load_instance(instance.read_text()).seed, 0
-        )
+        report, swept, trained, instance = sweep_then_train(tmp_path, {"max_evals": 40})
+        seed = _derive_seed(load_instance(instance.read_text()).seed, 0)
+        assert swept["config"]["seed"] == seed
+        # a record's config block is its run's whole TrainConfig
+        assert TrainConfig(**swept["config"]) == report.plan.train_config(0.5, seed).resolved(6)
         assert_same_blocks(trained, swept)
         assert trained["metadata"]["wall_time_s"] > 0.0
 
@@ -425,6 +430,7 @@ class TestCli:
         assert main(["train", str(instance), "--seed", "17", "--out", str(rec)]) == 0
         config = json.loads(rec.read_text())["config"]
         assert (config["optimizer"], config["max_seconds"]) == ("adam", 600.0)
+        assert TrainConfig(**config) == TrainConfig(seed=17).resolved(6)
 
     def test_train_trivial_instance_record(self, tmp_path):
         # zero transfer and zero penalties make every pattern optimal:
@@ -526,6 +532,7 @@ class TestCli:
             ({"sizes": [[2.7, 3]]}, "sizes: [2.7, 3] is not"),
             ({"sizes": [True]}, "sizes: True is not"),
             ({"thresholds": [-0.2]}, "threshold -0.2 must be finite"),
+            ({"thresholds": []}, "at least one threshold"), ({"alphas": []}, "one alpha"),
         ):
             plan_file.write_text(json.dumps({**TINY_PLAN, **values}))
             assert main(["experiment", "--plan", str(plan_file), "--out", str(out),
@@ -571,6 +578,23 @@ class TestCli:
             assert f"max_seconds = {float(budget)!r}" in capsys.readouterr().err
         assert not instance.with_suffix(".record.json").exists()
 
+    def test_sizes_are_lists_in_files_and_text_in_flags(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sizes": "1x2", "instances": 2}))
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps({**TINY_PLAN, "sizes": "1x2", "restarts": 1}))
+        for args, out, instances in (
+            (["generate", "--config", str(config)], tmp_path / "gen", ""),
+            (["experiment", "--plan", str(plan_file), "--workers", "1"], tmp_path / "exp",
+             "instances"),
+        ):
+            assert main([*args, "--out", str(out)]) == 2
+            assert "sizes = '1x2' must be a list" in capsys.readouterr().err
+            assert not out.exists()
+            assert main([*args, "--sizes", "1x2,1x3", "--out", str(out)]) == 0
+            modes = sorted(p.name.split("_")[0] for p in (out / instances).glob("*.json"))
+            assert modes == ["2", "2", "3", "3"]
+
     def test_plan_over_capacity_exits_3_before_any_file(self, tmp_path, capsys):
         out = tmp_path / "exp"
         assert main(["experiment", "--sizes", "3x7", "--instances", "1", "--restarts", "1",
@@ -599,11 +623,11 @@ class TestCli:
         real_train = harness.train
         calls = {"n": 0}
 
-        def flaky_train(qubo, cfg, thresholds):
+        def flaky_train(qubo, cfg):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("synthetic failure")
-            return real_train(qubo, cfg, thresholds)
+            return real_train(qubo, cfg)
 
         monkeypatch.setattr(harness, "train", flaky_train)
         plan_file = tmp_path / "plan.json"
@@ -621,7 +645,7 @@ class TestCli:
               "--base-seed", "6", "--out", str(out)])
         instance = next(out.glob("*.json"))
 
-        def diverging_train(qubo, cfg, thresholds):
+        def diverging_train(qubo, cfg):
             raise TrainingFailedError("diverged", trace=[(1, float("inf"))])
 
         monkeypatch.setattr(cli, "train", diverging_train)
@@ -656,8 +680,7 @@ class TestAggregation:
                 {
                     "n_modes": 2, "n_flights": 1, "n_gates": 2,
                     "instance_id": "2_7", "alpha": 0.5, "restart": restart,
-                    "final_fidelity": fidelity,
-                    "success": {"0.1": fidelity > 0.1},
+                    "final_fidelity": fidelity, "success_0.1": fidelity > 0.1,
                     "n_evals": 10, "wall_time_s": 0.1, "error": None,
                 }
             )

@@ -369,6 +369,17 @@ class TestTrain:
         assert fixed.resolved(6) == fixed
         assert cfg.resolved(17).max_evals == 850  # the mode cap is not resolved's
 
+    @pytest.mark.parametrize("thresholds, named", [
+        ([1.5], "threshold 1.5 must be"), ([float("nan")], "threshold nan must be"),
+        ([0.1, -0.2], "threshold -0.2 must be"), ([], "at least one threshold"),
+    ])
+    def test_train_judges_success_at_checked_thresholds(self, thresholds, named):
+        qubo = QuboProblem(q=np.zeros((2, 2)), offset=0.0)
+        with pytest.raises(ValueError, match=named):
+            train(qubo, TrainConfig(seed=1, thresholds=thresholds))
+        record = train(qubo, TrainConfig(seed=1, alpha=0.1, max_evals=8, thresholds=[0.5]))
+        assert record.success == {0.5: True}
+
     @pytest.mark.parametrize("max_seconds", [float("nan"), float("inf"), 0, -1])
     def test_max_seconds_must_be_finite_and_positive(self, max_seconds):
         with pytest.raises(ValueError, match=f"max_seconds = {max_seconds!r} must be"):

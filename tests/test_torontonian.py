@@ -162,8 +162,9 @@ class TestSubsetDeterminants:
 
     def test_identity_border_pads_rows_of_every_size(self):
         # [[P, 0], [0, I]] and [[Q, 0], [0, I]]: each subset W padded to N
-        # with border modes has the determinants of W alone, as the sampler
-        # relies on to send rows of all sizes to one call
+        # with border modes has the determinants of W alone, so rows of all
+        # sizes could share one call (the sampler reads the click law and
+        # pads no rows; this pins the kernel's behaviour on such blocks)
         for n, radius in ((6, 1.0), (10, 2.0), (10, 4.0)):
             state = random_state(np.random.default_rng(500 + n), n, radius)
             bordered = np.zeros((2, 2 * n, 2 * n))

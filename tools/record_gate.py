@@ -29,8 +29,12 @@ Runs, in a temporary directory and with one worker each:
   shares with every sweep.
 
 For each it prints one sha256 (its first 16 hex digits) per record block
-(``run``, ``config``, ``result``) over the records in file-name order,
-one for ``report.csv`` and one for the instance files:
+(``run``, ``config``, ``result``) over the records in file-name order and
+one for the instance files; for each sweep also one per report file:
+``report.csv``, ``runs.csv`` and ``instances.csv`` without their
+``wall_time_s`` column, and ``report.json`` without its ``metadata`` and
+without the wall times of its instance rows.  So every line is a
+deterministic function of the code:
 
     python tools/record_gate.py                      # this checkout's src/
     python tools/record_gate.py --src ../other/src   # another checkout
@@ -56,6 +60,7 @@ never share a process.
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -88,6 +93,7 @@ SWEEPS = [
 ]
 SWEEP_BASE = {"sizes": [[2, 3]], "instances_per_size": 2, "restarts": 2,
               "thresholds": [0.1, 0.01]}
+REPORT_CSVS = ("report.csv", "runs.csv", "instances.csv")
 CRITERION9 = "criterion9"
 TRAIN_DEFAULT = "train-default"
 
@@ -115,6 +121,25 @@ def _block_hashes(records, dropped):
 
 def _files_hash(paths):
     return _sha(p.name.encode() + b"\0" + p.read_bytes() for p in sorted(paths))
+
+
+def _csv_hash(path):
+    """Hash of a report CSV file rewritten without its ``wall_time_s`` column,
+    if any; report.csv, which has none, hashes as its bytes."""
+    rows = list(csv.reader(io.StringIO(path.read_text())))
+    keep = [k for k, name in enumerate(rows[0]) if name != "wall_time_s"]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([row[k] for k in keep] for row in rows)
+    return _sha([buf.getvalue().encode()])
+
+
+def _report_json_hash(path):
+    """Hash of report.json without its metadata and its instance rows' wall times."""
+    payload = json.loads(path.read_text())
+    del payload["metadata"]
+    for row in payload["instance_rows"]:
+        del row["wall_time_s"]
+    return _sha([json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()])
 
 
 def _run_gate(src, work):
@@ -155,8 +180,8 @@ def _gate_outputs(src, work):
         out = work / name
         outputs[name] = {
             "records": [json.loads(p.read_text()) for p in sorted((out / "runs").glob("*.json"))],
-            "report.csv": out / "report.csv",
             "instances": list((out / "instances").glob("*.json")),
+            "sweep_dir": out,
         }
     for name in (CRITERION9, TRAIN_DEFAULT):
         outputs[name] = {
@@ -168,8 +193,10 @@ def _gate_outputs(src, work):
 
 def _hashes(output, dropped):
     hashes = _block_hashes(output["records"], dropped)
-    if "report.csv" in output:
-        hashes["report.csv"] = _sha([output["report.csv"].read_bytes()])
+    if "sweep_dir" in output:
+        for name in REPORT_CSVS:
+            hashes[name] = _csv_hash(output["sweep_dir"] / name)
+        hashes["report.json"] = _report_json_hash(output["sweep_dir"] / "report.json")
     hashes["instances"] = _files_hash(output["instances"])
     return hashes
 
