@@ -41,8 +41,10 @@ det P_W det Q_W agree with one LU determinant per subset of the 2N x 2N
 Sigma to a relative 1e-12 for N <= 12 up to spectral radius 4 (tested);
 the envelope of the resulting probabilities is given in
 :func:`gbsopt.torontonian.full_distribution`.  Memory: a state is 2 N^2
-floats; the kernel gathers at most BATCH_BYTES of submatrices per batch,
-and their Cholesky factors take as much again.
+floats; a series pass over B rows works in one :class:`TaylorWorkspace`
+of 10 B N^2 floats, fresh per :func:`covariance_blocks` call and reused
+by every step of an ADAM run; the kernel gathers at most BATCH_BYTES of
+submatrices per batch, and their Cholesky factors take as much again.
 """
 
 import functools
@@ -264,44 +266,84 @@ def takagi_decompose(theta):
     return TakagiFactors(unitary=unitary[:, order], squeezings=r[order])
 
 
-@np.errstate(over="ignore", invalid="ignore")
+class TaylorWorkspace:
+    """The buffers of one :func:`taylor_blocks` pass over ``rows`` N x N rows.
+
+    Each is its own contiguous array: the scaled rows A (and first
+    |theta|), the powers A^2, A^4 and A^6, one (even, odd) chunk and one
+    (even, odd) product per row, and the (2, rows, N, N) output blocks.
+    They are cut from one allocation, since five separate ones of a
+    stack's size would each be mapped and faulted in afresh on every
+    fresh pass.  A pass overwrites all of them, so one workspace serves
+    any number of passes of its shape, and the blocks of a pass live
+    until the next.
+    """
+
+    def __init__(self, rows, n):
+        parts = np.empty((10, rows * n * n))
+        self.a = parts[0].reshape(rows, n, n)
+        self.powers = parts[1:4].reshape(rows, 3, n, n)
+        self.chunk = parts[4:6].reshape(rows, 2, n, n)
+        self.prod = parts[6:8].reshape(rows, 2, n, n)
+        self.blocks = parts[8:].reshape(2, rows, n, n)
+
+
 def covariance_blocks(thetas):
     """P and Q of real symmetric matrices on the last two axes, stacked first.
 
     For thetas of shape (..., N, N) the result has shape (2, ..., N, N):
     P = (I + e^X) / 2 and Q = (I + e^{-X}) / 2 for X = 2 theta, from one
-    batched Taylor series with scaling and squaring (Al-Mohy & Higham,
-    SIAM J. Matrix Anal. Appl. 31 (2009) 970-989).  Each row is scaled by
-    its own s = max(0, ceil(log2 ||X||_1)), so A = X / 2^s has
-    ||A||_1 <= 1 and the series e^A, kept to degree 19, leaves a
-    remainder below e / 20! < 2^-53.  The even and odd parts of the
-    series are polynomials in A^2, evaluated together by Paterson-
-    Stockmeyer on A^2, A^4 and A^6 (SIAM J. Comput. 2 (1973) 60-66), and
-    e^{+-A} = even +- odd are squared s times.  Every step acts on one row
-    at a time, so each row is bit for bit what a one-row call returns.
-    Both blocks are averaged with their transposes to be exactly
-    symmetric.  Against a 40-digit reference, P and Q keep a normwise
-    relative error below 1e-14 up to spectral radius 5.5 (tested).  A row
-    whose e^{+-X} overflows raises InvalidStateError.
+    batched Taylor series with scaling and squaring (:func:`taylor_blocks`)
+    in a fresh :class:`TaylorWorkspace`, so the blocks share memory with
+    nothing else.  Each row is bit for bit what a one-row call returns.
+    Against a 40-digit reference, P and Q keep a normwise relative error
+    below 1e-14 up to spectral radius 5.5 (tested).  A row whose e^{+-X}
+    overflows raises InvalidStateError.
     """
     thetas = np.asarray(thetas, dtype=float)
     shape, n = thetas.shape[:-2], thetas.shape[-1]
     thetas = thetas.reshape((-1, n, n))
+    blocks = taylor_blocks(thetas, TaylorWorkspace(thetas.shape[0], n))
+    return blocks.reshape((2,) + shape + (n, n))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def taylor_blocks(thetas, work):
+    """P and Q of a (rows, N, N) stack of thetas, as ``work.blocks``.
+
+    The one Taylor series behind :func:`covariance_blocks`, run in the
+    buffers of ``work``, a :class:`TaylorWorkspace` of the stack's shape;
+    ``thetas`` is only read.  The result is ``work.blocks`` itself, valid
+    until the next pass in ``work``.  Scaling and squaring follows
+    Al-Mohy & Higham (SIAM J. Matrix Anal. Appl. 31 (2009) 970-989):
+    each row is scaled by its own s = max(0, ceil(log2 ||X||_1)), so
+    A = X / 2^s has ||A||_1 <= 1 and the series e^A, kept to degree 19,
+    leaves a remainder below e / 20! < 2^-53.  The even and odd parts of
+    the series are polynomials in A^2, evaluated together by Paterson-
+    Stockmeyer on A^2, A^4 and A^6 (SIAM J. Comput. 2 (1973) 60-66), and
+    e^{+-A} = even +- odd are squared s times.  Every step acts on one row
+    at a time and no step depends on the buffers' layout, so each row is
+    bit for bit what a one-row call returns.  Both blocks are averaged
+    with their transposes to be exactly symmetric.  A row whose e^{+-X}
+    overflows raises InvalidStateError.
+    """
+    n = thetas.shape[-1]
+    a, powers, chunk, prod, blocks = work.a, work.powers, work.chunk, work.prod, work.blocks
     # s from the exact exponent of ||X||_1 = 2 ||theta||_1 = frac 2^e,
     # frac in [1/2, 1): ceil(log2) is e, or e - 1 at a power of two.
     # ThetaMatrix keeps non-finite entries out; any that reach here give
     # s = 0 and non-finite blocks, which raise below
-    frac, s = np.frexp(2.0 * (np.abs(thetas) @ np.ones(n)).max(axis=-1))
+    np.abs(thetas, out=a)
+    frac, s = np.frexp(2.0 * (a @ np.ones(n)).max(axis=-1))
     s = np.maximum(s - (frac == 0.5), 0)
-    # rows sorted by s, descending, so the rows still squaring are a prefix
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    a = thetas[order]
-    a *= np.ldexp(2.0, -s)[:, np.newaxis, np.newaxis]  # A = 2 theta / 2^s
-    # one workspace per row: A^2, A^4, A^6, then one chunk and one product,
-    # each an (even, odd) pair; P and Q end where A^2 and A^4 were
-    work = np.empty((a.shape[0], 7, n, n))
-    powers, chunk, prod = work[:, :3], work[:, 3:5], work[:, 5:]
+    if np.all(s == s[:1]):
+        order = None  # every row squares s times: no sort
+    else:
+        # rows sorted by s, descending, so the rows still squaring are a prefix
+        order = np.argsort(-s, kind="stable")
+        s = s[order]
+        thetas = np.take(thetas, order, axis=0, out=a)
+    np.multiply(thetas, np.ldexp(2.0, -s)[:, np.newaxis, np.newaxis], out=a)  # A = 2 theta / 2^s
     np.matmul(a, a, out=powers[:, 0])
     np.matmul(powers[:, 0], powers[:, 0], out=powers[:, 1])
     np.matmul(powers[:, 1], powers[:, 0], out=powers[:, 2])
@@ -321,14 +363,16 @@ def covariance_blocks(thetas):
         rows = np.count_nonzero(s > k)
         np.matmul(chunk[:rows], chunk[:rows], out=prod[:rows])
         chunk[:rows] = prod[:rows]
-    np.add(chunk, np.swapaxes(chunk, -1, -2), out=prod)
-    prod *= 0.25
-    prod.reshape(-1, 2, n * n)[..., :: n + 1] += 0.5
-    if not np.all(np.isfinite(prod)):
+    if order is None:
+        np.add(chunk, np.swapaxes(chunk, -1, -2), out=np.swapaxes(blocks, 0, 1))
+    else:
+        np.add(chunk, np.swapaxes(chunk, -1, -2), out=prod)
+        blocks[:, order] = np.swapaxes(prod, 0, 1)
+    blocks *= 0.25
+    blocks.reshape(-1, n * n)[:, :: n + 1] += 0.5
+    if not np.all(np.isfinite(blocks)):
         raise InvalidStateError("e^{+-2 theta} overflows float64")
-    blocks = np.swapaxes(work[:, :2], 0, 1)
-    blocks[:, order] = np.swapaxes(prod, 0, 1)
-    return blocks.reshape((2,) + shape + (n, n))
+    return blocks
 
 
 def state_from_theta(theta):

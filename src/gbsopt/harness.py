@@ -43,6 +43,7 @@ from .optim import (
     DEFAULT_THRESHOLDS,
     TrainConfig,
     check_field_types,
+    checked_floats,
     checked_thresholds,
     train,
 )
@@ -138,9 +139,9 @@ class ExperimentPlan:
     def __post_init__(self):
         try:
             object.__setattr__(self, "sizes", _normalize_sizes(self.sizes))
-            object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         except TypeError as exc:
-            raise ValueError(f"malformed sizes or alphas: {exc}") from exc
+            raise ValueError(f"malformed sizes: {exc}") from exc
+        object.__setattr__(self, "alphas", checked_floats("alphas", self.alphas))
         object.__setattr__(self, "thresholds", checked_thresholds(self.thresholds))
         check_field_types(self)
         if self.instances_per_size < 1 or self.restarts < 1:

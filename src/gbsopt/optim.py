@@ -30,11 +30,13 @@ import numpy as np
 
 from .errors import TrainingFailedError
 from .gaussian import (
+    TaylorWorkspace,
     ThetaMatrix,
     covariance_blocks,
     pair_vacuum_marginals,
     state_from_theta,
     symmetric_from_upper,
+    taylor_blocks,
     triangle_indices,
 )
 from .problems import brute_force_solve
@@ -83,13 +85,21 @@ def check_field_types(obj):
             raise ValueError(f"{f.name} = {value!r} is not of type {names}")
 
 
+def checked_floats(key, values):
+    """``values`` as a tuple of floats; ValueError naming ``key`` when it is
+    a string or not a list of numbers."""
+    if isinstance(values, str):
+        raise ValueError(f"{key} = {values!r} must be a list of numbers")
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {key}: {exc}") from exc
+
+
 def checked_thresholds(thresholds):
     """``thresholds`` as a nonempty tuple of floats, each a finite t with
     0 <= t < 1 (a fidelity above t counts as success); ValueError otherwise."""
-    try:
-        values = tuple(float(t) for t in thresholds)
-    except TypeError as exc:
-        raise ValueError(f"thresholds must be a list of numbers: {exc}") from exc
+    values = checked_floats("thresholds", thresholds)
     if not values:
         raise ValueError("at least one threshold is required")
     for t in values:
@@ -395,27 +405,57 @@ def _run_cobyla(objective, x0):
         pass
 
 
-def _adam_pass(objective, params):
+class _AdamWorkspace:
+    """The buffers one ADAM run reuses at every step: the 2m + 1 rows of
+    its batched pass and their :class:`TaylorWorkspace`.
+
+    Row 0 is the iterate; rows 2k + 1 and 2k + 2 shift parameter k by
+    +FD_STEP and -FD_STEP.  Every row starts as the frozen initial theta;
+    a step writes only the masked entries, each into its upper and lower
+    flat slot (the same slot on the diagonal).
+    """
+
+    def __init__(self, objective):
+        n, dim = objective.n, objective.mask_slots.size
+        self.thetas = np.empty((2 * dim + 1, n, n))
+        self.thetas[:] = symmetric_from_upper(n, objective.upper)
+        rows, cols = triangle_indices(n)
+        i, j = rows[objective.mask_slots], cols[objective.mask_slots]
+        self.slots = (i * n + j, j * n + i)
+        self.probe_rows = 2 * np.arange(dim) + 1
+        self.taylor = TaylorWorkspace(2 * dim + 1, n)
+
+    def write_rows(self, params):
+        """The (2m + 1, N, N) thetas of the iterate ``params`` and its probes,
+        written in place: bit for bit ``theta_matrix_for`` of the stacked
+        parameter rows."""
+        flat = self.thetas.reshape(self.thetas.shape[0], -1)
+        plus, minus = params + FD_STEP, params - FD_STEP
+        for slots in self.slots:
+            flat[:, slots] = params
+            flat[self.probe_rows, slots] = plus
+            flat[self.probe_rows + 1, slots] = minus
+        return self.thetas
+
+
+def _adam_pass(objective, params, work):
     """Evaluate the iterate ``params`` and its 2m probes in one batched pass.
 
-    Row 0 of the batch is the iterate; rows 2k + 1 and 2k + 2 shift
-    parameter k by +FD_STEP and -FD_STEP.  One ``covariance_blocks`` call
-    builds every row (each bit for bit its one-row result).  The iterate is
-    recorded like any evaluation, its cost taken from a one-row reduction
-    of row 0; the probes are only counted.  A probe whose e^{+-2 theta}
-    overflows raises InvalidStateError before the iterate is recorded, not
-    just after it; only a non-finite iterate cost in that same step would
-    have raised first.  Returns the 2m probe costs, +/- pairs adjacent;
-    the blocks are dropped on return.
+    ``work`` is the run's :class:`_AdamWorkspace`: the rows are written
+    into it in place, and one ``taylor_blocks`` pass in its Taylor buffers
+    builds every row's blocks (each bit for bit its one-row result).  The
+    iterate is recorded like any evaluation, its cost taken from a one-row
+    reduction of row 0; the probes are only counted.  A probe whose
+    e^{+-2 theta} overflows raises InvalidStateError before the iterate is
+    recorded, not just after it; only a non-finite iterate cost in that
+    same step would have raised first.  Returns the 2m probe costs, +/-
+    pairs adjacent; the blocks stay in ``work`` until the next pass
+    overwrites them.
     """
     dim = params.size
-    slots = np.arange(dim)
-    rows = np.repeat(params[np.newaxis], 2 * dim + 1, axis=0)
-    rows[2 * slots + 1, slots] += FD_STEP
-    rows[2 * slots + 2, slots] -= FD_STEP
-    thetas = objective.theta_matrix_for(rows)
+    thetas = work.write_rows(params)
     ThetaMatrix(thetas[0])  # the iterate's checks, as every evaluation makes them
-    blocks = covariance_blocks(thetas)
+    blocks = taylor_blocks(thetas, work.taylor)
     qubo = objective.qubo
     objective._record(params, float(_energies_from_blocks(blocks[:, :1], qubo)[0]))
     costs = _energies_from_blocks(blocks[:, 1:], qubo)
@@ -430,21 +470,25 @@ def _run_adam(objective, x0):
 
     Each step makes one batched pass (:func:`_adam_pass`) over 2m + 1
     rows: row 0 is the iterate, rows 2k + 1 and 2k + 2 its probes at
-    +FD_STEP and -FD_STEP in parameter k.  The iterate is one evaluation
-    in ``n_evals`` and one trace entry; the 2m probes are counted against
-    ``n_evals`` but not traced.
+    +FD_STEP and -FD_STEP in parameter k.  The rows and every Taylor
+    buffer live in one :class:`_AdamWorkspace`, allocated when the run
+    starts and dropped when it ends, so a step allocates no N x N
+    workspace of its own.  The iterate is one evaluation in ``n_evals``
+    and one trace entry; the 2m probes are counted against ``n_evals``
+    but not traced.
     """
     cfg = objective.cfg
     params = np.array(x0)
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    work = _AdamWorkspace(objective)
     for step in range(1, cfg.adam_steps + 1):
         try:
             objective._check_budget()
         except _EvalBudget:
             break
-        costs = _adam_pass(objective, params)
+        costs = _adam_pass(objective, params, work)
         grad = (costs[0::2] - costs[1::2]) / (2.0 * FD_STEP)
         m = beta1 * m + (1.0 - beta1) * grad
         v = beta2 * v + (1.0 - beta2) * grad**2

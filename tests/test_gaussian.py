@@ -22,7 +22,13 @@ from gbsopt import (
     vacuum_marginal,
 )
 from gbsopt import gaussian
-from gbsopt.gaussian import covariance_blocks, pair_vacuum_marginals, triangle_indices
+from gbsopt.gaussian import (
+    TaylorWorkspace,
+    covariance_blocks,
+    pair_vacuum_marginals,
+    taylor_blocks,
+    triangle_indices,
+)
 from gbsopt.optim import _analytic_energies
 from gbsopt.torontonian import all_patterns, pattern_probability
 
@@ -225,6 +231,34 @@ class TestCovarianceBlocks:
         for row, theta in enumerate(stack):
             assert np.array_equal(covariance_blocks(theta), stacked[:, row // 3, row % 3])
             assert np.array_equal(state_from_theta(theta).blocks, stacked[:, row // 3, row % 3])
+
+    @pytest.mark.parametrize("n", [6, 16])
+    def test_one_workspace_serves_every_pass(self, n):
+        # a pass whose rows all square s times skips the sort; a mixed one
+        # sorts by s and scatters back; both reuse the same buffers
+        rng = np.random.default_rng(n)
+        base = theta_at_radius(rng, n, 0.3)
+        uniform = np.stack([base * (1.0 + 1e-3 * k) for k in range(5)])
+        mixed = np.stack([theta_at_radius(rng, n, r) for r in (0.01, 5.5, 0.3, 2.0, 40.0)])
+
+        def squarings(stack):
+            return np.ceil(np.log2(2.0 * np.abs(stack).sum(axis=-1).max(axis=-1)))
+
+        assert np.unique(squarings(uniform)).size == 1
+        assert np.unique(squarings(mixed)).size == 5
+        work = TaylorWorkspace(5, n)
+        kept = []
+        for stack in (uniform, mixed, uniform, mixed):
+            given = stack.copy()
+            blocks = taylor_blocks(stack, work)
+            assert blocks is work.blocks
+            assert np.array_equal(stack, given)  # the thetas are only read
+            for row, theta in enumerate(stack):
+                assert np.array_equal(blocks[:, row], covariance_blocks(theta))
+            state = GaussianState(blocks[:, 0])
+            kept.append((state, state.blocks.copy()))
+        for state, blocks in kept:
+            assert np.array_equal(state.blocks, blocks)
 
     def test_one_mode_closed_form(self):
         for t in (-5.5, -0.7, 0.0, 0.3, 2.0, 5.5):

@@ -135,6 +135,10 @@ class TestPlan:
             ({"alphas": []}, "at least one size and one alpha"),
             ({"sizes": []}, "at least one size and one alpha"),
             ({"sizes": "2x3"}, "sizes = '2x3' must be a list"),
+            ({"alphas": "1"}, "alphas = '1' must be a list"),
+            ({"alphas": ["x"]}, "malformed alphas"),
+            ({"thresholds": "0"}, "thresholds = '0' must be a list"),
+            ({"thresholds": ["x"]}, "malformed thresholds"),
         ):
             with pytest.raises(ValueError, match=named):
                 ExperimentPlan.from_dict(plan)
@@ -533,6 +537,8 @@ class TestCli:
             ({"sizes": [True]}, "sizes: True is not"),
             ({"thresholds": [-0.2]}, "threshold -0.2 must be finite"),
             ({"thresholds": []}, "at least one threshold"), ({"alphas": []}, "one alpha"),
+            ({"alphas": "1"}, "alphas = '1' must be a list"),
+            ({"thresholds": "0.1"}, "thresholds = '0.1' must be a list"),
         ):
             plan_file.write_text(json.dumps({**TINY_PLAN, **values}))
             assert main(["experiment", "--plan", str(plan_file), "--out", str(out),
@@ -564,6 +570,7 @@ class TestCli:
         for values, named in (
             ({"alpha": "0.1"}, "alpha = '0.1'"), ({"thresholds": 0.1}, "thresholds"),
             ({"seed": -1}, "seed = -1"), ({"thresholds": [0.1, 1.5]}, "threshold 1.5 must be"),
+            ({"thresholds": "0.1"}, "thresholds = '0.1' must be a list"),
         ):
             config.write_text(json.dumps(values))
             assert main(["train", str(instance), "--config", str(config)]) == 2

@@ -1,5 +1,6 @@
 """Tests for cost functions, masking and the training drivers."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,13 @@ from gbsopt import (
     train,
 )
 from gbsopt import optim
-from gbsopt.optim import INIT_SCALE, MASK_PER_MODE, ParameterMask, _analytic_energies
+from gbsopt.optim import (
+    FD_STEP,
+    INIT_SCALE,
+    MASK_PER_MODE,
+    ParameterMask,
+    _analytic_energies,
+)
 from gbsopt.torontonian import PatternDistribution
 
 from oracles import bounded_random_theta
@@ -273,6 +280,55 @@ class TestTrain:
         for (objective, params), (_, cost) in zip(iterates, trained.cost_trace):
             assert cost == objective._cost(params)
 
+    @pytest.mark.parametrize("n", [6, 16])
+    def test_adam_rows_written_in_place_equal_theta_matrix_for(self, n):
+        # the iterate and its +/-FD_STEP probes, written into the run's one
+        # buffer step after step, are bit for bit theta_matrix_for of the
+        # stacked parameter rows; the mask holds two diagonal entries, whose
+        # upper and lower flat slots coincide
+        rng = np.random.default_rng(n)
+        rows, cols = np.triu_indices(n)
+        dim = min(MASK_PER_MODE * n, rows.size)
+        diagonal = np.flatnonzero(rows == cols)[[0, n // 2]]
+        others = rng.choice(np.setdiff1d(np.arange(rows.size), diagonal), dim - 2, replace=False)
+        slots = rng.permutation(np.concatenate([diagonal, others]))
+        mask = ParameterMask(indices=tuple(zip(rows[slots], cols[slots])))
+        objective = optim._Objective(random_qubo(rng, n), TrainConfig(seed=1).resolved(n),
+                                     rng.uniform(-INIT_SCALE, INIT_SCALE, rows.size), mask)
+        work = optim._AdamWorkspace(objective)
+        k = np.arange(dim)
+        for scale in (INIT_SCALE, 2.0, 0.5):
+            params = rng.uniform(-scale, scale, dim)
+            stack = np.repeat(params[np.newaxis], 2 * dim + 1, axis=0)
+            stack[2 * k + 1, k] += FD_STEP
+            stack[2 * k + 2, k] -= FD_STEP
+            assert np.array_equal(work.write_rows(params), objective.theta_matrix_for(stack))
+
+    def test_adam_steps_allocate_no_taylor_workspace(self, monkeypatch):
+        # after step 1, steps 2 to 10 at N = 16 traced a 0.53 MiB peak (the
+        # closed-form <Q> of 97 rows), where a fresh (97, 7, 16, 16) Taylor
+        # workspace per step alone is 1.33 MiB
+        bound = 0.8 * 2**20
+        qubo = assemble_qubo(generate_instance(4, 4, seed=3))
+        fresh = 7 * (2 * MASK_PER_MODE * qubo.n + 1) * qubo.n**2 * 8
+        real, steps, peak = optim._adam_pass, [], []
+
+        def traced(*args):
+            steps.append(None)
+            if len(steps) == 2:
+                tracemalloc.start()
+            elif len(steps) == 11:
+                peak.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            return real(*args)
+
+        monkeypatch.setattr(optim, "_adam_pass", traced)
+        train(qubo, TrainConfig(seed=5, adam_steps=11))
+        print(f"ADAM steps 2-10 at N = 16: traced peak {peak[0] / 2**20:.2f} MiB, "
+              f"bound {bound / 2**20:.2f} MiB, fresh Taylor workspace {fresh / 2**20:.2f} MiB")
+        assert len(steps) == 11
+        assert peak[0] <= bound < fresh
+
     def test_eval_budget_respected(self):
         instance = generate_instance(2, 2, seed=17)
         qubo = assemble_qubo(instance)
@@ -372,6 +428,7 @@ class TestTrain:
     @pytest.mark.parametrize("thresholds, named", [
         ([1.5], "threshold 1.5 must be"), ([float("nan")], "threshold nan must be"),
         ([0.1, -0.2], "threshold -0.2 must be"), ([], "at least one threshold"),
+        ("0", "thresholds = '0' must be a list"), ("0.1", "thresholds = '0.1' must be a list"),
     ])
     def test_train_judges_success_at_checked_thresholds(self, thresholds, named):
         qubo = QuboProblem(q=np.zeros((2, 2)), offset=0.0)

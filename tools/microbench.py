@@ -1,0 +1,141 @@
+"""Micro benchmark of gbsopt's hot layers: one JSON line of medians.
+
+For N in {8, 12, 16} (2 x 4, 3 x 4 and 4 x 4 flight-gate instances) it
+times, one call at a time after one warm-up call:
+
+* ``covariance_blocks_1``: ``gaussian.covariance_blocks`` of one theta;
+* ``covariance_blocks_probes``: ``covariance_blocks`` of the 2m + 1 rows
+  of an ADAM step (m = min(3N, N(N+1)/2) trained entries), each row the
+  iterate or one of its +/-1e-5 probes in one of the first m upper
+  entries;
+* ``adam_pass``: one ``optim._adam_pass``, timed inside a real ADAM run
+  (``train`` at alpha 1 with ``adam_steps`` 40), so whatever a run sets up
+  for its steps is in place;
+* ``full_distribution``: ``torontonian.full_distribution`` of one state;
+* ``sample_1000``: 1000 shots of ``torontonian.sample``.
+
+Every theta sits near the training start: upper entries uniform on
+[-0.1, 0.1].  Each entry gives the median wall time of a call in ms and
+the minor page faults per call (``ru_minflt`` of this process, summed
+over the timed calls and divided by their number).  The process pins
+itself to one core and BLAS to one thread first, so two runs on one host
+compare the code, not the thread pool:
+
+    python tools/microbench.py                     # this checkout's src/
+    python tools/microbench.py --src ../other/src  # another checkout
+
+The last line of standard output is one JSON object.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+SIZES = {8: (2, 4), 12: (3, 4), 16: (4, 4)}
+#: a measurement stops after this many seconds or MAX_CALLS timed calls
+BUDGET_S = 0.5
+MAX_CALLS = 200
+ADAM_STEPS = 40
+
+
+def _minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _measure(call):
+    """Median ms and minor faults per call of ``call()``, after one warm-up call."""
+    call()
+    times, faults, started = [], 0, time.perf_counter()
+    while not times or (len(times) < MAX_CALLS and time.perf_counter() - started < BUDGET_S):
+        flt, t0 = _minflt(), time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+        faults += _minflt() - flt
+    return {"median_ms": round(1e3 * statistics.median(times), 4),
+            "minflt_per_call": round(faults / len(times), 2), "calls": len(times)}
+
+
+def _adam_pass_figures(optim, qubo):
+    """Median ms and faults per ``_adam_pass`` call inside one ADAM run."""
+    times, faults = [], []
+    real = optim._adam_pass
+
+    def timed(*args):
+        flt, t0 = _minflt(), time.perf_counter()
+        out = real(*args)
+        times.append(time.perf_counter() - t0)
+        faults.append(_minflt() - flt)
+        return out
+
+    optim._adam_pass = timed
+    try:
+        optim.train(qubo, optim.TrainConfig(seed=1, adam_steps=ADAM_STEPS, max_seconds=None))
+    finally:
+        optim._adam_pass = real
+    times, faults = times[1:], faults[1:]  # the first step is the warm-up
+    return {"median_ms": round(1e3 * statistics.median(times), 4),
+            "minflt_per_call": round(sum(faults) / len(faults), 2), "calls": len(times)}
+
+
+def run(src):
+    sys.path.insert(0, str(src))
+    import numpy as np
+
+    import gbsopt
+    from gbsopt import optim
+    from gbsopt.gaussian import covariance_blocks, state_from_theta
+    from gbsopt.problems import assemble_qubo, generate_instance
+    from gbsopt.torontonian import full_distribution, sample
+
+    if Path(gbsopt.__file__).resolve().parent != Path(src).resolve() / "gbsopt":
+        raise SystemExit(f"microbench: imported gbsopt from {gbsopt.__file__}")
+    results = {}
+    for n, (flights, gates) in SIZES.items():
+        rng = np.random.default_rng(n)
+        upper = rng.uniform(-0.1, 0.1, (n, n))
+        theta = np.triu(upper) + np.triu(upper, 1).T
+        m = min(3 * n, n * (n + 1) // 2)
+        probes = np.repeat(theta[np.newaxis], 2 * m + 1, axis=0)
+        for k, (i, j) in enumerate(zip(*np.triu_indices(n))):
+            if k == m:
+                break
+            for row, step in ((2 * k + 1, 1e-5), (2 * k + 2, -1e-5)):
+                probes[row, i, j] += step
+                probes[row, j, i] = probes[row, i, j]
+        state = state_from_theta(theta)
+        seeds = iter(range(10**9))
+        qubo = assemble_qubo(generate_instance(flights, gates, seed=n))
+        results[str(n)] = {
+            "covariance_blocks_1": _measure(lambda: covariance_blocks(theta)),
+            "covariance_blocks_probes": _measure(lambda: covariance_blocks(probes)),
+            "adam_pass": _adam_pass_figures(optim, qubo),
+            "full_distribution": _measure(lambda: full_distribution(state)),
+            "sample_1000": _measure(lambda: sample(state, 1000, next(seeds))),
+        }
+    return {"src": str(src), "cpu": sorted(os.sched_getaffinity(0)),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "results": results}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="directory holding the gbsopt package (default: ../src)")
+    args = parser.parse_args(argv)
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    print(json.dumps(run(Path(args.src).resolve())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
