@@ -6,20 +6,19 @@ Layers, bottom to top:
   parameter matrix, in real form: a state is the two real N x N blocks
   P = (I + e^{2 theta}) / 2 and Q = (I + e^{-2 theta}) / 2 of its Husimi
   covariance, built from one scaled-and-squared Taylor series of
-  e^{+-2 theta} (one batched path for single states and stacks); owns
-  the vacuum marginals
-  1 / sqrt(det P_W det Q_W), all from one subset-determinant kernel
-  (closed-form 1 x 1 and 2 x 2 minors for the analytic <Q>);
-* :mod:`gbsopt.torontonian` — exact click-pattern probabilities,
-  enumeration and chain-rule sampling, each read off one superset
-  Moebius transform of a table of those vacuum marginals (the
-  inclusion-exclusion law of threshold detectors; Quesada, Arrazola &
-  Killoran, PRA 98, 062322 (2018)).  Probabilities stay within
-  1.3e-15 of a 40-digit evaluation up to spectral radius 6 and within
-  1.2e-14 where one mode is squeezed to r = 5.5; the enumeration holds
-  tables of 2^N floats and one 1 MiB kernel batch.  One mode cap, 20
-  (``BRUTE_FORCE_CAP``), bounds every 2^N table in the package: the click
-  law, the pattern energies, instances and plans;
+  e^{+-2 theta} (one batched path for single states and stacks), and
+  the closed-form one- and two-mode vacuum marginals of the analytic <Q>;
+* :mod:`gbsopt.torontonian` — every subset vacuum marginal
+  1 / sqrt(det P_W det Q_W), from one subset-determinant kernel, and the
+  exact click-pattern probabilities, enumeration and chain-rule
+  sampling, each read off one superset Moebius transform of a table of
+  those marginals (the inclusion-exclusion law of threshold detectors;
+  Quesada, Arrazola & Killoran, PRA 98, 062322 (2018)).  Probabilities
+  stay within 1.3e-15 of a 40-digit evaluation up to spectral radius 6
+  and within 1.2e-14 where one mode is squeezed to r = 5.5; the
+  enumeration holds tables of 2^N floats and one 1 MiB kernel batch.
+  One mode cap, 20 (``BRUTE_FORCE_CAP``), bounds every 2^N table in the
+  package: the click law, the pattern energies, instances and plans;
 * :mod:`gbsopt.problems` — flight-gate assignment instances, QUBO
   assembly, brute-force ground truth and the enumerated <Q>;
 * :mod:`gbsopt.optim` — CVaR / expectation cost functions and the two
@@ -43,7 +42,6 @@ from .gaussian import (
     ThetaMatrix,
     state_from_theta,
     takagi_decompose,
-    vacuum_marginal,
 )
 from .harness import ExperimentPlan, SuccessReport, run_experiment, verify_report
 from .optim import (
@@ -71,6 +69,7 @@ from .torontonian import (
     full_distribution,
     pattern_probability,
     sample,
+    vacuum_marginal,
 )
 
 __version__ = "0.1.0"

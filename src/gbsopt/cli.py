@@ -68,11 +68,9 @@ def _load_config(path, known):
 
 
 def _merged(defaults, file_values, flag_values):
-    """Apply precedence flags > file > defaults; None flags mean unset."""
-    out = dict(defaults)
-    out.update({k: v for k, v in file_values.items() if v is not None})
-    out.update({k: v for k, v in flag_values.items() if v is not None})
-    return out
+    """Apply precedence flags > file > defaults.  A None flag is a flag not
+    given; a null in a file is a value (``max_seconds: null`` is no limit)."""
+    return defaults | file_values | {k: v for k, v in flag_values.items() if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +157,11 @@ def cmd_experiment(args):
         "base_seed": args.base_seed,
     }
     merged = _merged({}, plan_dict, flag_values)
-    train_overrides = dict(merged.get("train", {}))
-    for key in DEFAULT_TRAIN_OVERRIDES:
-        if getattr(args, key) is not None:
-            train_overrides[key] = getattr(args, key)
-    if train_overrides:
-        merged["train"] = train_overrides
+    train = merged.get("train", {})
+    if not isinstance(train, dict):
+        raise ValueError(f"train = {train!r} must be an object of train overrides")
+    train_flags = {key: getattr(args, key) for key in DEFAULT_TRAIN_OVERRIDES}
+    merged["train"] = _merged({}, train, train_flags)
     plan = ExperimentPlan.from_dict(merged)
 
     report = run_experiment(plan, args.out, workers=args.workers)

@@ -26,30 +26,24 @@ A :class:`GaussianState` is these two N x N blocks, built by
 e^{+-2 theta}, kept to degree 19 and scaled and squared row by row, with
 no eigendecomposition, no inverse and no complex arithmetic.  The one
 ``eigh`` left is :func:`takagi_decompose`'s, which no probability goes
-through.  Every vacuum marginal of a state comes from one kernel,
-:func:`subset_determinants`; :mod:`gbsopt.torontonian` turns them into
-click probabilities by inclusion-exclusion.  The one- and two-mode
-marginals of a stack of states, which the closed-form <Q> needs, have
-closed forms (:func:`pair_vacuum_marginals`).
+through.  Every vacuum marginal of a state over a mode subset comes from
+one kernel, ``torontonian._dark_law``, which also turns them into click
+probabilities by inclusion-exclusion.  The one- and two-mode marginals
+of a stack of states, which the closed-form <Q> needs, have closed
+forms (:func:`pair_vacuum_marginals`).
 
 Accuracy: both gains (1 + e^{+-2 lam}) / 2 exceed 1/2, so building P and
 Q cancels nothing: against a 40-digit reference their normwise relative
-error stays below 1e-14 for N <= 16 up to spectral radius 5.5 (tested).
-Each determinant is the squared product of the Cholesky diagonals of
-positive definite matrices.  The kernel's
-det P_W det Q_W agree with one LU determinant per subset of the 2N x 2N
-Sigma to a relative 1e-12 for N <= 12 up to spectral radius 4 (tested);
-the envelope of the resulting probabilities is given in
-:func:`gbsopt.torontonian.full_distribution`.  Memory: a state is 2 N^2
-floats; a series pass over B rows works in one :class:`TaylorWorkspace`
-of 10 B N^2 floats, fresh per :func:`covariance_blocks` call and reused
-by every step of an ADAM run; the kernel gathers at most BATCH_BYTES of
-submatrices per batch, and their Cholesky factors take as much again.
+error stays below 1e-14 for N <= 16 up to spectral radius 5.5 (tested);
+the envelope of the subset determinants and of the probabilities is
+given in :mod:`gbsopt.torontonian`.  Memory: a state is 2 N^2 floats; a
+series pass over B rows works in one :class:`TaylorWorkspace` of
+10 B N^2 floats, fresh per :func:`covariance_blocks` call and reused by
+every step of an ADAM run.
 """
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,15 +56,11 @@ __all__ = [
     "GaussianState",
     "takagi_decompose",
     "state_from_theta",
-    "vacuum_marginal",
     "symmetric_from_upper",
 ]
 
 #: max-abs tolerance for the unitarity check of Takagi factors
 DECOMPOSITION_TOL = 1e-10
-
-#: upper bound on the gathered submatrices of one kernel batch (1 MiB of float64)
-BATCH_BYTES = 1 << 20
 
 
 def _series_chunks():
@@ -382,34 +372,6 @@ def state_from_theta(theta):
     return GaussianState(covariance_blocks(theta.entries))
 
 
-def subset_determinants(blocks, rows):
-    """det P_W det Q_W = det Sigma_W for the mode subsets W listed in ``rows``.
-
-    ``blocks`` stacks P and Q as (2, N, N); ``rows`` is a (B, k) integer
-    array, k >= 1, each row listing the k modes of one W in any order.
-    The k x k submatrices of P and Q are gathered into one (2, b, k, k)
-    array per batch of at most BATCH_BYTES and factored by one batched
-    Cholesky call; each determinant is the squared product of the 2k
-    diagonal entries.  A submatrix that is not positive definite raises
-    InvalidStateError.
-    """
-    rows = np.asarray(rows)
-    k = rows.shape[1]
-    batch = max(1, BATCH_BYTES // (blocks.itemsize * 2 * k * k))
-    dets = np.empty(rows.shape[0])
-    for start in range(0, rows.shape[0], batch):
-        r = rows[start : start + batch]
-        try:
-            chol = np.linalg.cholesky(blocks[:, r[:, :, np.newaxis], r[:, np.newaxis, :]])
-        except np.linalg.LinAlgError as exc:
-            raise InvalidStateError(
-                "a covariance block is not positive definite on some mode subset"
-            ) from exc
-        diag = np.diagonal(chol, axis1=-2, axis2=-1)
-        dets[start : start + batch] = np.prod(diag, axis=(0, 2)) ** 2
-    return dets
-
-
 def pair_vacuum_marginals(blocks):
     """Vacuum marginals of every mode and every pair of modes, in closed form.
 
@@ -427,22 +389,3 @@ def pair_vacuum_marginals(blocks):
     if not (np.all(diag > 0) and np.all(minors > 0)):
         raise InvalidStateError("a covariance block has a non-positive 1 x 1 or 2 x 2 minor")
     return 1.0 / np.sqrt(diag[0] * diag[1]), 1.0 / np.sqrt(minors[0] * minors[1])
-
-
-def vacuum_marginal(state, modes):
-    """P(no photons on every mode in ``modes``) for one state."""
-    rows = _checked_modes(state.n_modes, modes)[np.newaxis]
-    return float(1.0 / np.sqrt(subset_determinants(state.blocks, rows)[0]))
-
-
-def _checked_modes(n_modes, modes):
-    modes = list(modes)
-    bad = [m for m in modes if isinstance(m, bool) or not isinstance(m, numbers.Integral)]
-    if bad:
-        raise ValueError(f"mode indices must be integers, got {bad[0]!r}")
-    modes = np.asarray(sorted(set(int(m) for m in modes)), dtype=int)
-    if modes.size == 0:
-        raise ValueError("mode subset must be nonempty")
-    if modes.min() < 0 or modes.max() >= n_modes:
-        raise ValueError(f"mode indices must lie in [0, {n_modes})")
-    return modes

@@ -5,15 +5,17 @@ Every probability here comes from the vacuum marginals
     f(W) = P(no photon on any mode of W) = 1 / sqrt(det P_W det Q_W),
 
 f(empty set) = 1 (Quesada, Arrazola & Killoran, PRA 98, 062322 (2018),
-in the real form of :mod:`gbsopt.gaussian`), all from
-``gaussian.subset_determinants``, and from one inclusion-exclusion, the
-superset Moebius transform of :func:`_superset_transform`: over a table
-of f(D + Z) for Z the subsets of S, it gives P(D + Z dark, S - Z
-clicked, other modes unconstrained).  Its entry Z = empty is the
-probability of dark modes D and clicked modes S.  :func:`_dark_law`
-builds one such table (one kernel batch per size of Z), at a cost
-exponential in |S|, for its three callers:
+in the real form of :mod:`gbsopt.gaussian`), and from one
+inclusion-exclusion, the superset Moebius transform of
+:func:`_superset_transform`: over a table of f(D + Z) for Z the subsets
+of S, it gives P(D + Z dark, S - Z clicked, other modes unconstrained).
+Its entry Z = empty is the probability of dark modes D and clicked modes
+S.  :func:`_dark_law` is the one owner of subset vacuum marginals: it
+builds one such table, one size of Z at a time, each determinant the
+squared product of the Cholesky diagonals of P_W and Q_W, at a cost
+exponential in |S|, for its four callers:
 
+* ``vacuum_marginal``: D the given modes, S empty, so the table is f(D);
 * ``pattern_probability``: D and S a pattern's dark and clicked modes;
 * ``full_distribution``: D empty, S all modes, the whole distribution;
 * ``sample``: at mode j, D = {j} and S the modes below j; entry Z is the
@@ -23,11 +25,15 @@ exponential in |S|, for its three callers:
 (``tests/oracles.py`` keeps the Torontonian of the 2N x 2N matrix
 O = I - inv(Sigma), the same law without the real form, as a reference.)
 
-Accuracy: within 1.3e-15 of a 40-digit evaluation up to spectral radius
-6 (see :func:`full_distribution`).  Memory: a table with k free modes
-holds 2^k floats, and the subset levels of [k] are cached for the largest
-k asked for only, every smaller k reading their leading rows (9 MiB at
-k = 19, the sampler's last mode at 20 modes).  For all three callers,
+Accuracy: det P_W det Q_W agree with one LU determinant per subset of the
+2N x 2N Sigma to a relative 1e-12 for N <= 12 up to spectral radius 4,
+and probabilities stay within 1.3e-15 of a 40-digit evaluation up to
+spectral radius 6 (tested; see :func:`full_distribution`).  Memory: a
+table with k free modes holds 2^k floats; the kernel gathers at most
+``BATCH_BYTES`` of submatrices per batch, and their Cholesky factors take
+as much again; the subset levels of [k] are cached for the largest k
+asked for only, every smaller k reading their leading rows (9 MiB at
+k = 19, the sampler's last mode at 20 modes).  For all four callers,
 :func:`_dark_law` refuses more than ``BRUTE_FORCE_CAP`` (20) modes.
 
 Pattern indexing convention: bit i of an integer pattern index is the
@@ -42,9 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvalidStateError
-from .gaussian import GaussianState, subset_determinants
+from .gaussian import GaussianState
 
 __all__ = [
+    "vacuum_marginal",
     "pattern_probability",
     "PatternDistribution",
     "full_distribution",
@@ -63,6 +70,9 @@ BRUTE_FORCE_CAP = 20
 NEGATIVE_CLAMP = 1e-12
 
 NORMALIZATION_TOL = 1e-9
+
+#: upper bound on the gathered submatrices of one kernel batch (1 MiB of float64)
+BATCH_BYTES = 1 << 20
 
 
 def pattern_index(pattern):
@@ -150,8 +160,17 @@ def _dark_law(state, dark, free, reads=None):
     """The table of P(the modes of dark + Z stay dark, those of free - Z
     click, other modes unconstrained) for every Z subset of ``free``, as
     2^s floats indexed by Z's bitmask (bit i selects free[i]): the superset
-    transform of the table of f(dark + Z), whose subsets go to the kernel
-    one size at a time, each row the dark modes then Z.
+    transform of the table of f(dark + Z).
+
+    The kernel: the subsets go one size k at a time, each row the dark
+    modes then Z.  The k x k submatrices of P and Q are gathered into one
+    (2, b, k, k) array per batch of at most BATCH_BYTES and factored by one
+    batched Cholesky call; each det P_W det Q_W is the squared product of
+    the 2k diagonal entries.  A submatrix that is not positive definite
+    raises InvalidStateError.  The rows are uint8, like ``free[modes]``:
+    index arithmetic on them (a flat index r * N + c, say) must widen them
+    to intp first, since it wraps at 256, which N >= 17 reaches; a wrapped
+    gather that stays positive definite gives wrong probabilities silently.
 
     ``reads`` (bitmasks, private to :func:`sample`) names the only entries
     the caller reads.  Entry Z of the transform reads only the supersets
@@ -160,6 +179,7 @@ def _dark_law(state, dark, free, reads=None):
     """
     if state.n_modes > BRUTE_FORCE_CAP:
         raise CapacityError(f"{state.n_modes} modes exceed the mode cap {BRUTE_FORCE_CAP}")
+    blocks = state.blocks
     dark = np.asarray(dark, dtype=np.uint8)
     free = np.asarray(free, dtype=np.uint8)
     table = np.ones(1 << free.size)
@@ -176,8 +196,40 @@ def _dark_law(state, dark, free, reads=None):
         rows = free[modes]
         if dark.size:
             rows = np.concatenate([np.broadcast_to(dark, (len(masks), dark.size)), rows], axis=1)
-        table[masks] = 1.0 / np.sqrt(subset_determinants(state.blocks, rows))
+        k = rows.shape[1]
+        batch = max(1, BATCH_BYTES // (blocks.itemsize * 2 * k * k))
+        for start in range(0, len(rows), batch):
+            r = rows[start : start + batch]
+            try:
+                chol = np.linalg.cholesky(blocks[:, r[:, :, np.newaxis], r[:, np.newaxis, :]])
+            except np.linalg.LinAlgError as exc:
+                raise InvalidStateError(
+                    "a covariance block is not positive definite on some mode subset"
+                ) from exc
+            diag = np.diagonal(chol, axis1=-2, axis2=-1)
+            table[masks[start : start + batch]] = 1.0 / np.sqrt(np.prod(diag, axis=(0, 2)) ** 2)
+            del chol, diag  # else these factors sit beside the next batch's gather
     return _superset_transform(table)
+
+
+def vacuum_marginal(state, modes):
+    """P(no photons on every mode in ``modes``) for one state: the one
+    entry of ``_dark_law(state, modes, ())``.  CapacityError above
+    ``BRUTE_FORCE_CAP`` modes."""
+    return float(_dark_law(state, _checked_modes(state.n_modes, modes), ())[0])
+
+
+def _checked_modes(n_modes, modes):
+    modes = list(modes)
+    bad = [m for m in modes if isinstance(m, bool) or not isinstance(m, numbers.Integral)]
+    if bad:
+        raise ValueError(f"mode indices must be integers, got {bad[0]!r}")
+    modes = np.asarray(sorted(set(int(m) for m in modes)), dtype=int)
+    if modes.size == 0:
+        raise ValueError("mode subset must be nonempty")
+    if modes.min() < 0 or modes.max() >= n_modes:
+        raise ValueError(f"mode indices must lie in [0, {n_modes})")
+    return modes
 
 
 def _clamped(probs, what):

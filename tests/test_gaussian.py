@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from gbsopt import (
+    CapacityError,
     GaussianState,
     InvalidStateError,
     QuboProblem,
@@ -312,6 +313,12 @@ class TestVacuumMarginal:
         subsets = [(0,), (0, 2), (0, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3, 4)]
         values = [vacuum_marginal(state, s) for s in subsets]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_shares_the_mode_cap(self):
+        assert vacuum_marginal(state_from_theta(ThetaMatrix(np.zeros((20, 20)))), [19]) == 1.0
+        state = state_from_theta(ThetaMatrix(np.zeros((21, 21))))
+        with pytest.raises(CapacityError, match="21 modes exceed the mode cap 20"):
+            vacuum_marginal(state, [0])
 
     def test_rejects_bad_subsets(self):
         state = state_from_theta(ThetaMatrix(np.zeros((2, 2))))

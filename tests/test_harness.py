@@ -416,6 +416,12 @@ class TestCli:
         assert_same_blocks(trained, swept)
         assert trained["metadata"]["wall_time_s"] > 0.0
 
+    def test_null_budget_replays_as_no_limit(self, tmp_path):
+        # max_seconds: null is no time limit, in the sweep and in its replay
+        report, swept, trained, _ = sweep_then_train(tmp_path, {"max_seconds": None})
+        assert swept["config"]["max_seconds"] is None
+        assert_same_blocks(trained, swept)
+
     def test_train_defaults_are_the_sweep_defaults(self, tmp_path):
         # with no config file, gbsopt train at a sweep run's alpha and seed
         # writes that run's record
@@ -584,6 +590,37 @@ class TestCli:
                          "--max-seconds", budget]) == 2
             assert f"max_seconds = {float(budget)!r}" in capsys.readouterr().err
         assert not instance.with_suffix(".record.json").exists()
+
+    def test_nulls_and_non_object_train_in_files_exit_2_before_any_file(
+            self, tmp_path, capsys, monkeypatch):
+        # a null in a file is a value, not an unset key: none of these may
+        # fall back to a default (the default plan is 6000 runs)
+        import gbsopt.cli as cli
+
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sweep started"))
+        plan_file = tmp_path / "plan.json"
+        out = tmp_path / "exp"
+        for values, named in (
+            ({"sizes": None}, "malformed sizes"), ({"alphas": None}, "malformed alphas"),
+            ({"thresholds": None}, "malformed thresholds"),
+            ({"restarts": None}, "restarts = None is not of type int"),
+            ({"train": None}, "train = None must be an object"),
+            ({"train": 5}, "train = 5 must be an object"),
+            ({"train": ["shots_k"]}, "train = ['shots_k'] must be an object"),
+        ):
+            plan_file.write_text(json.dumps({**TINY_PLAN, **values}))
+            for flags in ([], ["--shots", "0"]):
+                assert main(["experiment", "--plan", str(plan_file), "--out", str(out),
+                             "--workers", "1", *flags]) == 2
+                assert named in capsys.readouterr().err
+                assert not out.exists()
+        config = tmp_path / "generate.json"
+        for values, named in (({"sizes": None}, "malformed sizes"),
+                              ({"instances": None}, "instances_per_size = None")):
+            config.write_text(json.dumps(values))
+            assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
+            assert named in capsys.readouterr().err
+            assert not out.exists()
 
     def test_sizes_are_lists_in_files_and_text_in_flags(self, tmp_path, capsys):
         config = tmp_path / "config.json"

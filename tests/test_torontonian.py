@@ -21,20 +21,16 @@ from gbsopt import (
     sample,
     state_from_theta,
 )
-from gbsopt.gaussian import (
-    BATCH_BYTES,
-    GaussianState,
-    subset_determinants,
-    takagi_decompose,
-    vacuum_marginal,
-)
+from gbsopt.gaussian import GaussianState, takagi_decompose
 from gbsopt.torontonian import (
+    BATCH_BYTES,
     PatternDistribution,
     _dark_law,
     _subset_levels,
     all_patterns,
     index_to_pattern,
     pattern_index,
+    vacuum_marginal,
 )
 
 from oracles import (
@@ -61,16 +57,13 @@ def random_state(rng, n, spectral_radius=1.0):
 
 
 def all_subset_determinants(state):
-    """det P_W det Q_W for every W subset of the modes, indexed by bitmask."""
-    n = state.n_modes
-    masks = np.arange(1, 1 << n)
-    bits = (masks[:, None] >> np.arange(n)) & 1
-    dets = np.ones(1 << n)
-    for k in range(1, n + 1):
-        level = masks[bits.sum(axis=1) == k]
-        rows = np.nonzero(bits[level - 1])[1].reshape(level.size, k)
-        dets[level] = subset_determinants(state.blocks, rows)
-    return dets
+    """det P_W det Q_W for every W subset of the modes, indexed by bitmask:
+    the table of f(W) = 1 / sqrt(det P_W det Q_W) that ``_dark_law`` builds
+    for no dark modes and every mode free, read before its transform."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gbsopt.torontonian, "_superset_transform", lambda table: table)
+        marginals = _dark_law(state, (), np.arange(state.n_modes))
+    return marginals**-2.0
 
 
 def every_mode_near_five(seed):
@@ -144,6 +137,15 @@ class TestSubsetDeterminants:
             want = naive_subset_determinants(o_matrix(husimi_sigma(theta)), n)
             assert np.abs(dets[::-1] / dets[-1] - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_vacuum_marginal_reads_the_same_kernel(self, n):
+        # one subset at a time (dark modes W, none free) against the batches
+        state = random_state(np.random.default_rng(400 + n), n, 2.0)
+        dets = all_subset_determinants(state)
+        for mask in range(1, 1 << n):
+            modes = [i for i in range(n) if mask >> i & 1]
+            assert vacuum_marginal(state, modes) ** -2.0 == pytest.approx(dets[mask], rel=1e-14)
+
     def test_rejects_non_hermitian(self):
         p = np.array([[1.0, 0.5], [0.1, 1.0]])
         with pytest.raises(InvalidStateError, match="not symmetric"):
@@ -155,34 +157,16 @@ class TestSubsetDeterminants:
         q = np.eye(3)
         q[0, 2] = q[2, 0] = 2.0
         state = GaussianState(np.stack([np.eye(3), q]))
-        assert subset_determinants(state.blocks, [[0], [1], [2]]).tolist() == [1, 1, 1]
-        assert subset_determinants(state.blocks, [[0, 1], [1, 2]]).tolist() == [1, 1]
+        assert [vacuum_marginal(state, [m]) for m in range(3)] == [1, 1, 1]
+        assert [vacuum_marginal(state, w) for w in ([0, 1], [1, 2])] == [1, 1]
         with pytest.raises(InvalidStateError, match="not positive definite"):
-            subset_determinants(state.blocks, [[0, 1], [2, 0]])
-
-    def test_identity_border_pads_rows_of_every_size(self):
-        # [[P, 0], [0, I]] and [[Q, 0], [0, I]]: each subset W padded to N
-        # with border modes has the determinants of W alone, so rows of all
-        # sizes could share one call (the sampler reads the click law and
-        # pads no rows; this pins the kernel's behaviour on such blocks)
-        for n, radius in ((6, 1.0), (10, 2.0), (10, 4.0)):
-            state = random_state(np.random.default_rng(500 + n), n, radius)
-            bordered = np.zeros((2, 2 * n, 2 * n))
-            bordered[:, :n, :n] = state.blocks
-            bordered[:, n:, n:] = np.eye(n)
-            rows = [np.concatenate([np.flatnonzero(p), n + np.arange(n - p.sum())])
-                    for p in all_patterns(n)[1:]]
-            got = subset_determinants(bordered, rows)
-            want = all_subset_determinants(state)[1:]
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-        # not positive definite on modes {0, 2}, padded or not
-        q = np.eye(3)
-        q[0, 2] = q[2, 0] = 2.0
-        bordered = np.eye(6)[np.newaxis].repeat(2, axis=0)
-        bordered[1, :3, :3] = q
-        assert subset_determinants(bordered, [[0, 1, 3], [1, 2, 3]]).tolist() == [1, 1]
+            vacuum_marginal(state, [2, 0])
+        # in a batch: {0, 2} is one row of the level of two free modes
         with pytest.raises(InvalidStateError, match="not positive definite"):
-            subset_determinants(bordered, [[0, 1, 3], [0, 2, 3]])
+            _dark_law(state, (), np.arange(3))
+        # and with a dark mode ahead of the free ones
+        with pytest.raises(InvalidStateError, match="not positive definite"):
+            _dark_law(state, [2], [0, 1])
 
     def test_memory_stays_within_batches_at_16_modes(self):
         state = random_state(np.random.default_rng(16), 16, 1.0)
@@ -511,16 +495,21 @@ class TestSample:
         assert np.array_equal(sample(state, 1000, 6), chain_rule_sample(state, 1000, 6))
 
     def test_each_subset_goes_to_the_kernel_once_per_mode(self, monkeypatch):
+        state = random_state(np.random.default_rng(12), 12, 2.0)
+        # the gather copies P's diagonal exactly, and here it names each mode
+        mode_of = {p_ii: m for m, p_ii in enumerate(np.diagonal(state.p).tolist())}
+        assert len(mode_of) == state.n_modes
         seen = Counter()
-        kernel = gbsopt.torontonian.subset_determinants
+        cholesky = np.linalg.cholesky
 
-        def counted(blocks, rows):
-            for row in np.asarray(rows).tolist():
+        def counted(gathered):
+            for p_w in gathered[0]:
+                row = [mode_of[p_ii] for p_ii in np.diagonal(p_w).tolist()]
                 seen[max(row), tuple(row)] += 1  # mode j is the largest of W + {j}
-            return kernel(blocks, rows)
+            return cholesky(gathered)
 
-        monkeypatch.setattr(gbsopt.torontonian, "subset_determinants", counted)
-        sample(random_state(np.random.default_rng(12), 12, 2.0), 1000, 7)
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        sample(state, 1000, 7)
         assert len(seen) > 1000
         assert max(seen.values()) == 1
 
