@@ -29,12 +29,13 @@ Accuracy: det P_W det Q_W agree with one LU determinant per subset of the
 2N x 2N Sigma to a relative 1e-12 for N <= 12 up to spectral radius 4,
 and probabilities stay within 1.3e-15 of a 40-digit evaluation up to
 spectral radius 6 (tested; see :func:`full_distribution`).  Memory: a
-table with k free modes holds 2^k floats; the kernel gathers at most
-``BATCH_BYTES`` of submatrices per batch, and their Cholesky factors take
-as much again; the subset levels of [k] are cached for the largest k
-asked for only, every smaller k reading their leading rows (9 MiB at
-k = 19, the sampler's last mode at 20 modes).  For all four callers,
-:func:`_dark_law` refuses more than ``BRUTE_FORCE_CAP`` (20) modes.
+table with k free modes holds 2^k floats; a kernel batch holds its
+gather of at most ``BATCH_BYTES`` of submatrices, its flat index (half a
+batch) and its Cholesky factors (a batch again); the subset levels of
+[k] are cached for the largest k asked for only, every smaller k reading
+their leading rows (9 MiB at k = 19, the sampler's last mode at 20
+modes).  For all four callers, :func:`_dark_law` refuses more than
+``BRUTE_FORCE_CAP`` (20) modes.
 
 Pattern indexing convention: bit i of an integer pattern index is the
 outcome of mode i (index = sum_i d_i * 2^i); every 0/1 row is built by
@@ -164,22 +165,24 @@ def _dark_law(state, dark, free, reads=None):
 
     The kernel: the subsets go one size k at a time, each row the dark
     modes then Z.  The k x k submatrices of P and Q are gathered into one
-    (2, b, k, k) array per batch of at most BATCH_BYTES and factored by one
-    batched Cholesky call; each det P_W det Q_W is the squared product of
-    the 2k diagonal entries.  A submatrix that is not positive definite
-    raises InvalidStateError.  The rows are uint8, like ``free[modes]``:
-    index arithmetic on them (a flat index r * N + c, say) must widen them
-    to intp first, since it wraps at 256, which N >= 17 reaches; a wrapped
-    gather that stays positive definite gives wrong probabilities silently.
+    (2, b, k, k) array per batch of at most BATCH_BYTES, by one ``np.take``
+    of the (2, N^2) flat blocks at r * N + c, and factored by one batched
+    Cholesky call; each det P_W det Q_W is the squared product of the 2k
+    diagonal entries.  A submatrix that is not positive definite raises
+    InvalidStateError.  The rows are uint8, like ``free[modes]``, and each
+    batch widens its rows to intp before the flat index: in uint8, r * N + c
+    wraps at 256, which N >= 17 reaches, and a wrapped gather that stays
+    positive definite gives wrong probabilities silently.
 
     ``reads`` (bitmasks, private to :func:`sample`) names the only entries
     the caller reads.  Entry Z of the transform reads only the supersets
     of Z, so f is computed for those supersets alone; the other entries
     are left meaningless.  CapacityError above ``BRUTE_FORCE_CAP`` modes.
     """
-    if state.n_modes > BRUTE_FORCE_CAP:
-        raise CapacityError(f"{state.n_modes} modes exceed the mode cap {BRUTE_FORCE_CAP}")
-    blocks = state.blocks
+    n = state.n_modes
+    if n > BRUTE_FORCE_CAP:
+        raise CapacityError(f"{n} modes exceed the mode cap {BRUTE_FORCE_CAP}")
+    flat = state.blocks.reshape(2, n * n)
     dark = np.asarray(dark, dtype=np.uint8)
     free = np.asarray(free, dtype=np.uint8)
     table = np.ones(1 << free.size)
@@ -197,11 +200,11 @@ def _dark_law(state, dark, free, reads=None):
         if dark.size:
             rows = np.concatenate([np.broadcast_to(dark, (len(masks), dark.size)), rows], axis=1)
         k = rows.shape[1]
-        batch = max(1, BATCH_BYTES // (blocks.itemsize * 2 * k * k))
+        batch = max(1, BATCH_BYTES // (flat.itemsize * 2 * k * k))
         for start in range(0, len(rows), batch):
-            r = rows[start : start + batch]
+            r = rows[start : start + batch].astype(np.intp)
             try:
-                chol = np.linalg.cholesky(blocks[:, r[:, :, np.newaxis], r[:, np.newaxis, :]])
+                chol = np.linalg.cholesky(np.take(flat, r[:, :, None] * n + r[:, None, :], axis=1))
             except np.linalg.LinAlgError as exc:
                 raise InvalidStateError(
                     "a covariance block is not positive definite on some mode subset"
@@ -291,14 +294,15 @@ def full_distribution(state: GaussianState):
 
     Memory: besides two tables of 2^N floats (the marginals, transformed
     in place, and the returned copy) and the cached subset levels of [N]
-    (1 MiB at N = 16), the kernel holds one batch of
-    gathered submatrices, at most BATCH_BYTES (1 MiB), and its Cholesky
-    factors at a time, whatever the size of the largest level (C(16, 8)
-    subsets at N = 16).
+    (1 MiB at N = 16), the kernel holds one batch of gathered
+    submatrices, at most BATCH_BYTES (1 MiB), its flat index and its
+    Cholesky factors at a time, whatever the size of the largest level
+    (C(16, 8) subsets at N = 16).
 
     Above 16 modes it is slow (one core of a shared Intel Xeon host):
-    0.52 s at N = 17, 1.1 s at N = 18, 3.3-4.1 s and a 35 MiB traced peak
-    at N = 20, so 50N exact CVaR evaluations at N >= 18 outlast 600 s.
+    0.29-0.44 s at N = 17, 0.36-0.54 s at N = 18, 0.8-1.2 s at N = 19 and
+    1.7-3.2 s at N = 20, with a 35 MiB traced peak, so 50N exact CVaR
+    evaluations at N >= 19 outlast 600 s.
     """
     n = state.n_modes
     law = _dark_law(state, np.empty(0), np.arange(n))

@@ -56,14 +56,18 @@ def random_state(rng, n, spectral_radius=1.0):
     return state_from_theta(ThetaMatrix(bounded_random_theta(rng, n, spectral_radius)))
 
 
-def all_subset_determinants(state):
-    """det P_W det Q_W for every W subset of the modes, indexed by bitmask:
-    the table of f(W) = 1 / sqrt(det P_W det Q_W) that ``_dark_law`` builds
-    for no dark modes and every mode free, read before its transform."""
+def vacuum_table(state, dark, free):
+    """The table of f(dark + Z) = 1 / sqrt(det P_W det Q_W), W = dark + Z,
+    for every Z subset of ``free``, indexed by Z's bitmask: what
+    ``_dark_law`` builds, read before its transform."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gbsopt.torontonian, "_superset_transform", lambda table: table)
-        marginals = _dark_law(state, (), np.arange(state.n_modes))
-    return marginals**-2.0
+        return _dark_law(state, dark, free)
+
+
+def all_subset_determinants(state):
+    """det P_W det Q_W for every W subset of the modes, indexed by bitmask."""
+    return vacuum_table(state, (), np.arange(state.n_modes)) ** -2.0
 
 
 def every_mode_near_five(seed):
@@ -116,7 +120,8 @@ class TestTorontonian:
 
 
 class TestSubsetDeterminants:
-    @pytest.mark.parametrize("n", [1, 2, 4, 7, 10, 12])
+    # at 13 modes the 1716 subsets of size 7 (1.3 MiB of submatrices) take two batches
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 10, 12, 13])
     def test_matches_naive_loop_on_2n_form(self, n):
         # det(I - A_Z) with A = I - Sigma is det Sigma_Z, one LU per subset
         rng = np.random.default_rng(300 + n)
@@ -126,7 +131,8 @@ class TestSubsetDeterminants:
             want = naive_subset_determinants(np.eye(2 * n) - husimi_sigma(theta), n)
             assert np.abs(got / want - 1.0).max() <= 1e-12
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 7, 10, 12])
+    # at 13 modes the 1716 subsets of size 7 (1.3 MiB of submatrices) take two batches
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 10, 12, 13])
     def test_real_o_matches_naive_loop(self, n):
         # Jacobi: det(I - O_Z) = det inv(Sigma)_Z = det Sigma_{W} / det Sigma,
         # with W the complement of Z
@@ -145,6 +151,22 @@ class TestSubsetDeterminants:
         for mask in range(1, 1 << n):
             modes = [i for i in range(n) if mask >> i & 1]
             assert vacuum_marginal(state, modes) ** -2.0 == pytest.approx(dets[mask], rel=1e-14)
+
+    def test_modes_above_16_at_the_mode_cap(self):
+        # in uint8 the flat index r * N + c of modes 17-19 wraps at 256
+        state = random_state(np.random.default_rng(20), 20, 1.0)
+
+        def oracle(modes):
+            return 1.0 / np.sqrt(np.prod([np.linalg.det(b[np.ix_(modes, modes)])
+                                          for b in state.blocks]))
+
+        for modes in ([18, 19], [0, 17, 19], list(range(20))):
+            assert vacuum_marginal(state, modes) == pytest.approx(oracle(modes), rel=1e-12)
+        dark, free = [17, 19], [0, 18]
+        table = vacuum_table(state, dark, free)
+        for mask in range(1 << len(free)):
+            z = [m for i, m in enumerate(free) if mask >> i & 1]
+            assert table[mask] == pytest.approx(oracle(dark + z), rel=1e-12)
 
     def test_rejects_non_hermitian(self):
         p = np.array([[1.0, 0.5], [0.1, 1.0]])

@@ -1,8 +1,10 @@
 """Micro benchmark of gbsopt's hot layers: one JSON line of medians.
 
-For N in {8, 12, 16, 20} (2 x 4, 3 x 4, 4 x 4 and 4 x 5 flight-gate
-instances; 20 is the mode cap) it times, one call at a time after one
-warm-up call:
+For N in {8, 10, 12, 16, 20} (2 x 4, 2 x 5, 3 x 4, 4 x 4 and 4 x 5
+flight-gate instances: 8 is the size of the ``sampled-tail`` benchmark
+workload, 10 and 12 those of ``exact-tail``, 16 that of
+``analytic-mean``, and 20 is the mode cap) it times, one call at a time
+after one warm-up call:
 
 * ``covariance_blocks_1``: ``gaussian.covariance_blocks`` of one theta;
 * ``covariance_blocks_probes``: ``covariance_blocks`` of the 2m + 1 rows
@@ -42,7 +44,7 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-SIZES = {8: (2, 4), 12: (3, 4), 16: (4, 4), 20: (4, 5)}
+SIZES = {8: (2, 4), 10: (2, 5), 12: (3, 4), 16: (4, 4), 20: (4, 5)}
 #: a measurement stops after this many seconds or MAX_CALLS timed calls
 BUDGET_S = 0.5
 MAX_CALLS = 200
