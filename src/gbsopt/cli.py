@@ -18,6 +18,7 @@ from .harness import (
     DEFAULT_TRAIN_OVERRIDES,
     ExperimentPlan,
     RunTask,
+    _atomic_write,
     run_experiment,
     verify_report,
     write_instances,
@@ -116,7 +117,7 @@ def cmd_solve(args):
         "minimizers": truth.minimizers.tolist(),
     }
     out_path = instance_path.with_suffix(".solution.json")
-    out_path.write_text(json.dumps(payload, indent=1) + "\n")
+    _atomic_write(out_path, json.dumps(payload, indent=1) + "\n")
     print(f"{out_path}: min {truth.min_value:.6g} with {len(truth.minimizers)} minimizer(s)")
     return EXIT_OK
 

@@ -100,30 +100,21 @@ def triangle_indices(n, k=0):
     return tuple(_frozen_array(a) for a in np.triu_indices(n, k))
 
 
-@functools.lru_cache(maxsize=64)
-def _symmetric_slots(n):
-    """Flat positions in an n x n matrix of the upper triangle and of its mirror."""
-    rows, cols = triangle_indices(n)
-    return _frozen_array(rows * n + cols), _frozen_array(cols * n + rows)
-
-
 def symmetric_from_upper(n, upper):
-    """Symmetric (..., n, n) arrays from row-major upper triangles.
+    """The symmetric n x n array of a row-major upper triangle.
 
-    ``upper`` has shape (..., n(n+1)/2) and lists each triangle, diagonal
+    ``upper`` has n(n+1)/2 entries and lists the triangle, diagonal
     included, in ``triangle_indices(n)`` order: the canonical parameter
     order of the trainable matrix.
     """
     upper = np.asarray(upper, dtype=float)
-    upper_slots, lower_slots = _symmetric_slots(n)
-    if upper.shape[-1:] != upper_slots.shape:
-        raise ValueError(
-            f"expected {upper_slots.size} upper-triangle entries, got {upper.shape}"
-        )
-    out = np.zeros(upper.shape[:-1] + (n * n,))
-    out[..., upper_slots] = upper
-    out[..., lower_slots] = upper
-    return out.reshape(upper.shape[:-1] + (n, n))
+    rows, cols = triangle_indices(n)
+    if upper.shape != rows.shape:
+        raise ValueError(f"expected {rows.size} upper-triangle entries, got {upper.shape}")
+    out = np.zeros((n, n))
+    out[rows, cols] = upper
+    out[cols, rows] = upper
+    return out
 
 
 @dataclass(frozen=True)

@@ -203,7 +203,7 @@ def _instance_seeds(plan):
 def _plan_runs(plan):
     """(instance seed, alpha, restart, record file name) of each run, in plan order."""
     for n_flights, n_gates, seed in _instance_seeds(plan):
-        instance_id = f"{n_flights * n_gates}_{seed}"  # the instance file's stem
+        instance_id = Path(instance_filename(n_flights * n_gates, seed)).stem
         for alpha in plan.alphas:
             for restart in range(plan.restarts):
                 yield seed, alpha, restart, f"{instance_id}_a{alpha:g}_r{restart}.json"
@@ -220,7 +220,7 @@ def write_instances(plan, out_dir: Path):
     out = {}
     for n_flights, n_gates, seed in _instance_seeds(plan):
         instance = generate_instance(n_flights, n_gates, seed)
-        path = out_dir / instance_filename(instance)
+        path = out_dir / instance_filename(instance.n_modes, instance.seed)
         text = dump_instance(instance)
         if not path.exists() or path.read_text() != text:
             _atomic_write(path, text)

@@ -6,13 +6,17 @@ Three interchangeable objectives over the trainable matrix:
   average the ceil(alpha K) lowest energies;
 * exact CVaR — the alpha-tail expectation of the enumerated energy
   distribution, with the boundary atom included fractionally;
-* analytic expectation — <Q> written in closed form from one- and
-  two-mode vacuum marginals (the alpha = 1 cost), polynomial in N.
+* analytic expectation — <Q> in closed form from one- and two-mode
+  vacuum marginals, polynomial in N: the alpha = 1 cost,
+  :func:`expected_energy_analytic` of the state.
 
 Training touches only a masked subset of the parameter matrix entries,
 chosen from the smallest QUBO coefficients; everything else stays frozen
-at its random initialization.  The mask size, the initialization scale
-and the ADAM step size are the module constants below.
+at its random initialization.  ``_Objective`` owns a run's theta: the
+initial ThetaMatrix, with the trained entries written at their upper and
+lower flat slots for each evaluation and each row of an ADAM step.  The
+mask size, the initialization scale and the ADAM step size are the
+module constants below.
 
 COBYLA is the only user of scipy, so ``scipy.optimize`` loads on the
 first COBYLA run, not at ``import gbsopt``.  ``_run_cobyla`` calls it
@@ -32,10 +36,8 @@ from .errors import TrainingFailedError
 from .gaussian import (
     TaylorWorkspace,
     ThetaMatrix,
-    covariance_blocks,
     pair_vacuum_marginals,
     state_from_theta,
-    symmetric_from_upper,
     taylor_blocks,
     triangle_indices,
 )
@@ -269,7 +271,7 @@ def _energies_from_blocks(blocks, qubo):
     the BLAS kernel behind them (gemv) depends on the stack's shape: a row
     of a stacked call can differ in its last bits from the one-row call on
     the same blocks.  This is why ADAM takes its iterate's cost from a
-    one-row reduction, the same one every other evaluation makes.
+    one-row reduction, the one :func:`expected_energy_analytic` makes.
     """
     ii, jj = triangle_indices(qubo.n, 1)  # pairs i < j in row-major order
     pv1, pv2 = pair_vacuum_marginals(blocks)
@@ -281,21 +283,16 @@ def _energies_from_blocks(blocks, qubo):
     return out + qubo.offset
 
 
-def _analytic_energies(thetas, qubo):
-    """Batched <Q> for a (B, N, N) stack of parameter matrices."""
-    return _energies_from_blocks(covariance_blocks(thetas), qubo)
-
-
 def expected_energy_analytic(qubo, state):
     """Closed-form <Q> in a Gaussian state (the alpha = 1 cost).
 
     Agrees with the enumeration expectation to 1e-8 but needs only one-
     and two-mode vacuum marginals, i.e. the 1 x 1 and 2 x 2 principal
-    minors of P and Q.
+    minors of P and Q, reduced as a one-row stack as ADAM's iterates are.
     """
     if state.n_modes != qubo.n:
         raise ValueError("state and QUBO dimensions differ")
-    return float(_energies_from_blocks(state.blocks, qubo))
+    return float(_energies_from_blocks(state.blocks[:, np.newaxis], qubo)[0])
 
 
 class _EvalBudget(Exception):
@@ -305,30 +302,26 @@ class _EvalBudget(Exception):
 class _Objective:
     """Masked-parameter objective with tracing, budget and best tracking."""
 
-    def __init__(self, qubo, cfg, theta_init_upper, mask):
+    def __init__(self, qubo, cfg, theta_init, mask):
         self.qubo = qubo
         self.cfg = cfg
         self.n = qubo.n
-        self.upper = np.array(theta_init_upper)
-        slot_of = np.zeros((self.n, self.n), dtype=int)
-        slot_of[triangle_indices(self.n)] = np.arange(self.upper.size)
-        self.mask_slots = np.array([slot_of[p] for p in mask.indices])
+        self.theta_init = theta_init.entries
+        i, j = np.array(mask.indices).T
+        self.slots = (i * self.n + j, j * self.n + i)  # flat; one slot on the diagonal
         self.trace = []
         self.n_evals = 0
         self.best_cost = np.inf
-        self.best_params = self.upper[self.mask_slots]
+        self.best_params = self.theta_init[i, j]
         self.started = time.monotonic()
         self.timed_out = False
 
     def theta_for(self, params):
-        return ThetaMatrix(self.theta_matrix_for(params))
-
-    def theta_matrix_for(self, params):
-        """Plain (..., N, N) ndarrays for a (..., mask size) stack of params."""
-        params = np.asarray(params)
-        upper = np.broadcast_to(self.upper, params.shape[:-1] + self.upper.shape).copy()
-        upper[..., self.mask_slots] = params
-        return symmetric_from_upper(self.n, upper)
+        """The initial theta with ``params`` written at the trained slots."""
+        flat = self.theta_init.flatten()
+        for slots in self.slots:
+            flat[slots] = params
+        return ThetaMatrix(flat.reshape(self.n, self.n))
 
     def _check_budget(self):
         if self.n_evals == 0:
@@ -345,18 +338,16 @@ class _Objective:
 
     def _cost(self, params):
         cfg = self.cfg
-        theta = self.theta_for(params)
+        state = state_from_theta(self.theta_for(params))
         if cfg.shots_k > 0:
-            state = state_from_theta(theta)
             shot_seed = np.random.SeedSequence(
                 entropy=cfg.seed, spawn_key=(1, self.n_evals)
             )
             patterns = sample(state, cfg.shots_k, shot_seed)
             return cvar_from_samples(self.qubo.values(patterns), cfg.alpha)
         if cfg.alpha < 1.0:
-            state = state_from_theta(theta)
             return cvar_exact(self.qubo, full_distribution(state), cfg.alpha)
-        return float(_analytic_energies(theta.entries[np.newaxis], self.qubo)[0])
+        return expected_energy_analytic(self.qubo, state)
 
     def __call__(self, params):
         self._check_budget()
@@ -410,25 +401,22 @@ class _AdamWorkspace:
     its batched pass and their :class:`TaylorWorkspace`.
 
     Row 0 is the iterate; rows 2k + 1 and 2k + 2 shift parameter k by
-    +FD_STEP and -FD_STEP.  Every row starts as the frozen initial theta;
-    a step writes only the masked entries, each into its upper and lower
-    flat slot (the same slot on the diagonal).
+    +FD_STEP and -FD_STEP.  Every row starts as the objective's initial
+    theta; a step writes only the trained entries, through the
+    objective's upper and lower flat slots, as ``theta_for`` does.
     """
 
     def __init__(self, objective):
-        n, dim = objective.n, objective.mask_slots.size
-        self.thetas = np.empty((2 * dim + 1, n, n))
-        self.thetas[:] = symmetric_from_upper(n, objective.upper)
-        rows, cols = triangle_indices(n)
-        i, j = rows[objective.mask_slots], cols[objective.mask_slots]
-        self.slots = (i * n + j, j * n + i)
+        n, dim = objective.n, objective.slots[0].size
+        self.thetas = np.repeat(objective.theta_init[np.newaxis], 2 * dim + 1, axis=0)
+        self.slots = objective.slots
         self.probe_rows = 2 * np.arange(dim) + 1
         self.taylor = TaylorWorkspace(2 * dim + 1, n)
 
     def write_rows(self, params):
         """The (2m + 1, N, N) thetas of the iterate ``params`` and its probes,
-        written in place: bit for bit ``theta_matrix_for`` of the stacked
-        parameter rows."""
+        written in place: row r is bit for bit ``theta_for`` of row r's
+        parameters."""
         flat = self.thetas.reshape(self.thetas.shape[0], -1)
         plus, minus = params + FD_STEP, params - FD_STEP
         for slots in self.slots:
@@ -530,9 +518,9 @@ def train(qubo, cfg):
     init_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
     )
-    theta_init_upper = init_rng.uniform(-INIT_SCALE, INIT_SCALE, n_upper)
+    theta_init = ThetaMatrix.from_upper(qubo.n, init_rng.uniform(-INIT_SCALE, INIT_SCALE, n_upper))
 
-    objective = _Objective(qubo, cfg, theta_init_upper, mask)
+    objective = _Objective(qubo, cfg, theta_init, mask)
     x0 = np.array(objective.best_params)
     if cfg.optimizer == "adam":
         _run_adam(objective, x0)

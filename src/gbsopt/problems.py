@@ -403,6 +403,6 @@ def load_instance(text):
         raise ValueError(f"malformed instance: {exc}") from exc
 
 
-def instance_filename(instance):
-    """Deterministic file name: {N}_{seed}.json."""
-    return f"{instance.n_modes}_{instance.seed}.json"
+def instance_filename(n_modes, seed):
+    """Deterministic file name of an instance: {N}_{seed}.json."""
+    return f"{n_modes}_{seed}.json"

@@ -30,7 +30,7 @@ from gbsopt.gaussian import (
     taylor_blocks,
     triangle_indices,
 )
-from gbsopt.optim import _analytic_energies
+from gbsopt.optim import _energies_from_blocks
 from gbsopt.torontonian import all_patterns, pattern_probability
 
 from oracles import bounded_random_theta, husimi_sigma, mpmath_covariance_blocks
@@ -281,7 +281,7 @@ class TestCovarianceBlocks:
         # one overflowing row in a stack raises rather than giving a NaN cost
         stack = np.stack([np.zeros((n, n)), theta, 0.1 * np.eye(n)])
         with pytest.raises(InvalidStateError, match="overflows"):
-            _analytic_energies(stack, QuboProblem(q=np.eye(n)))
+            _energies_from_blocks(covariance_blocks(stack), QuboProblem(q=np.eye(n)))
 
 
 class TestVacuumMarginal:

@@ -329,6 +329,25 @@ class TestCli:
         assert solution["min_value"] == pytest.approx(0.0)
         assert sorted(solution["minimizers"]) == [[0, 1], [1, 0]]
 
+    def test_solve_writes_its_solution_atomically(self, tmp_path, monkeypatch):
+        out = tmp_path / "inst"
+        main(["generate", "--sizes", "1x2", "--instances", "1",
+              "--base-seed", "1", "--out", str(out)])
+        instance = next(out.glob("*.json"))
+        solution = instance.with_suffix(".solution.json")
+        assert main(["solve", str(instance)]) == 0
+        written = solution.read_text()
+        assert json.loads(written)["kind"] == "ground_truth"
+        assert sorted(p.name for p in out.iterdir()) == sorted([instance.name, solution.name])
+
+        # a solve that dies before its rename leaves the previous file whole
+        def refused(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refused)
+        assert main(["solve", str(instance)]) == 2
+        assert solution.read_text() == written
+
     def test_solve_invalid_file_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         assert main(["solve", str(tmp_path / "missing.json")]) == 2

@@ -23,12 +23,13 @@ from gbsopt import (
     train,
 )
 from gbsopt import optim
+from gbsopt.gaussian import covariance_blocks
 from gbsopt.optim import (
     FD_STEP,
     INIT_SCALE,
     MASK_PER_MODE,
     ParameterMask,
-    _analytic_energies,
+    _energies_from_blocks,
 )
 from gbsopt.torontonian import PatternDistribution
 
@@ -173,7 +174,7 @@ class TestAnalyticExpectation:
         rng = np.random.default_rng(43)
         qubo = random_qubo(rng, 5)
         thetas = np.stack([bounded_random_theta(rng, 5) for _ in range(7)])
-        batch = _analytic_energies(thetas, qubo)
+        batch = _energies_from_blocks(covariance_blocks(thetas), qubo)
         for k in range(7):
             single = expected_energy_analytic(
                 qubo, state_from_theta(ThetaMatrix(thetas[k]))
@@ -260,13 +261,11 @@ class TestTrain:
             if ij not in masked:
                 assert trained_upper[slot] == init_upper[slot]
 
-    @pytest.mark.parametrize("n_flights, n_gates", [(2, 3), (4, 4)])
-    def test_adam_trace_is_the_one_row_cost_of_each_iterate(
-        self, monkeypatch, n_flights, n_gates
-    ):
-        # ADAM evaluates each iterate in a batch with its probes; its traced
-        # cost must still be, bit for bit, the one-row cost of that iterate
-        qubo = assemble_qubo(generate_instance(n_flights, n_gates, seed=3))
+    @staticmethod
+    def _assert_trace_is_the_one_row_cost(monkeypatch, qubo, cfg, n_traced):
+        """Train at alpha = 1 and check each traced cost, bit for bit, against
+        the one-row cost of its iterate: the objective's own cost and
+        ``expected_energy_analytic`` of the iterate's state."""
         iterates = []
         record = optim._Objective._record
 
@@ -275,34 +274,80 @@ class TestTrain:
             return record(objective, params, cost)
 
         monkeypatch.setattr(optim._Objective, "_record", spy)
-        trained = train(qubo, TrainConfig(seed=5, adam_steps=60))
-        assert len(iterates) == len(trained.cost_trace) == 61
+        trained = train(qubo, cfg)
+        assert len(iterates) == len(trained.cost_trace) == n_traced
         for (objective, params), (_, cost) in zip(iterates, trained.cost_trace):
             assert cost == objective._cost(params)
+            state = state_from_theta(objective.theta_for(params))
+            assert cost == expected_energy_analytic(qubo, state)
 
-    @pytest.mark.parametrize("n", [6, 16])
-    def test_adam_rows_written_in_place_equal_theta_matrix_for(self, n):
-        # the iterate and its +/-FD_STEP probes, written into the run's one
-        # buffer step after step, are bit for bit theta_matrix_for of the
-        # stacked parameter rows; the mask holds two diagonal entries, whose
-        # upper and lower flat slots coincide
+    @pytest.mark.parametrize("n_flights, n_gates", [(2, 3), (4, 4)])
+    def test_adam_trace_is_the_one_row_cost_of_each_iterate(
+        self, monkeypatch, n_flights, n_gates
+    ):
+        # ADAM evaluates each iterate in a batch with its probes; its traced
+        # cost must still be, bit for bit, the one-row cost of that iterate
+        qubo = assemble_qubo(generate_instance(n_flights, n_gates, seed=3))
+        self._assert_trace_is_the_one_row_cost(
+            monkeypatch, qubo, TrainConfig(seed=5, adam_steps=60), 61)
+
+    def test_cobyla_alpha_one_trace_is_the_one_row_cost_of_each_iterate(self, monkeypatch):
+        qubo = assemble_qubo(generate_instance(2, 3, seed=3))
+        cfg = TrainConfig(seed=5, optimizer="cobyla", max_evals=40)
+        self._assert_trace_is_the_one_row_cost(monkeypatch, qubo, cfg, 40)
+
+    @staticmethod
+    def _theta_owner_case(n):
+        """An objective on a random N-mode theta and QUBO, its initial upper
+        triangle and its mask's upper-vector positions; the mask holds two
+        diagonal entries, whose upper and lower flat slots coincide."""
         rng = np.random.default_rng(n)
         rows, cols = np.triu_indices(n)
         dim = min(MASK_PER_MODE * n, rows.size)
         diagonal = np.flatnonzero(rows == cols)[[0, n // 2]]
         others = rng.choice(np.setdiff1d(np.arange(rows.size), diagonal), dim - 2, replace=False)
-        slots = rng.permutation(np.concatenate([diagonal, others]))
-        mask = ParameterMask(indices=tuple(zip(rows[slots], cols[slots])))
+        positions = rng.permutation(np.concatenate([diagonal, others]))
+        mask = ParameterMask(indices=tuple(zip(rows[positions], cols[positions])))
+        upper = rng.uniform(-INIT_SCALE, INIT_SCALE, rows.size)
         objective = optim._Objective(random_qubo(rng, n), TrainConfig(seed=1).resolved(n),
-                                     rng.uniform(-INIT_SCALE, INIT_SCALE, rows.size), mask)
+                                     ThetaMatrix.from_upper(n, upper), mask)
+        return objective, upper, positions, rng
+
+    @staticmethod
+    def _reference_theta(n, upper, positions, params):
+        """ThetaMatrix.from_upper of ``upper`` with the masked entries replaced."""
+        upper = upper.copy()
+        upper[positions] = params
+        return ThetaMatrix.from_upper(n, upper).entries
+
+    @pytest.mark.parametrize("n", [6, 16])
+    def test_theta_for_writes_the_masked_entries_into_the_initial_theta(self, n):
+        objective, upper, positions, rng = self._theta_owner_case(n)
+        initial = ThetaMatrix.from_upper(n, upper).entries
+        assert np.array_equal(objective.best_params, upper[positions])
+        for scale in (INIT_SCALE, 2.0, 0.5):
+            params = rng.uniform(-scale, scale, positions.size)
+            theta = objective.theta_for(params)
+            assert np.array_equal(theta.entries, self._reference_theta(n, upper, positions, params))
+            assert np.array_equal(objective.theta_init, initial)
+
+    @pytest.mark.parametrize("n", [6, 16])
+    def test_adam_rows_written_in_place_equal_the_reference_thetas(self, n):
+        # the iterate and its +/-FD_STEP probes, written into the run's one
+        # buffer step after step, are bit for bit the thetas assembled by
+        # ThetaMatrix.from_upper from each row's parameters
+        objective, upper, positions, rng = self._theta_owner_case(n)
         work = optim._AdamWorkspace(objective)
+        dim = positions.size
         k = np.arange(dim)
         for scale in (INIT_SCALE, 2.0, 0.5):
             params = rng.uniform(-scale, scale, dim)
             stack = np.repeat(params[np.newaxis], 2 * dim + 1, axis=0)
             stack[2 * k + 1, k] += FD_STEP
             stack[2 * k + 2, k] -= FD_STEP
-            assert np.array_equal(work.write_rows(params), objective.theta_matrix_for(stack))
+            rows = work.write_rows(params)
+            for row, row_params in zip(rows, stack):
+                assert np.array_equal(row, self._reference_theta(n, upper, positions, row_params))
 
     def test_adam_steps_allocate_no_taylor_workspace(self, monkeypatch):
         # after step 1, steps 2 to 10 at N = 16 traced a 0.53 MiB peak (the

@@ -22,7 +22,15 @@ Every theta sits near the training start: upper entries uniform on
 the minor page faults per call (``ru_minflt`` of this process, summed
 over the timed calls and divided by their number).  The process pins
 itself to one core and BLAS to one thread first, so two runs on one host
-compare the code, not the thread pool:
+compare the code, not the thread pool.
+
+A shared host drifts in speed, so the medians alone do not compare two
+runs.  Before and after the measurements the script runs the fixed
+calibration chunk of ``sweepbench/hostspeed.py`` (numpy only, no gbsopt)
+back to back for 0.3 s, and ``host_chunk_ms`` gives the median chunk time
+of each slice and of both together.  A median divided by the run's
+``host_chunk_ms["median"]`` is in host-independent units, so two runs
+(two checkouts, or one checkout twice) compare by those ratios:
 
     python tools/microbench.py                     # this checkout's src/
     python tools/microbench.py --src ../other/src  # another checkout
@@ -44,11 +52,14 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+SWEEPBENCH = Path(__file__).resolve().parents[1] / "sweepbench"
 SIZES = {8: (2, 4), 10: (2, 5), 12: (3, 4), 16: (4, 4), 20: (4, 5)}
 #: a measurement stops after this many seconds or MAX_CALLS timed calls
 BUDGET_S = 0.5
 MAX_CALLS = 200
 ADAM_STEPS = 40
+#: seconds of calibration chunks before and after the measurements
+CALIBRATE_S = 0.3
 
 
 def _minflt():
@@ -90,7 +101,14 @@ def _adam_pass_figures(optim, qubo):
             "minflt_per_call": round(sum(faults) / len(faults), 2), "calls": len(times)}
 
 
+def _chunk_ms(times):
+    return round(1e3 * statistics.median(times), 4)
+
+
 def run(src):
+    sys.path.insert(0, str(SWEEPBENCH))
+    import hostspeed
+
     sys.path.insert(0, str(src))
     import numpy as np
 
@@ -102,6 +120,7 @@ def run(src):
 
     if Path(gbsopt.__file__).resolve().parent != Path(src).resolve() / "gbsopt":
         raise SystemExit(f"microbench: imported gbsopt from {gbsopt.__file__}")
+    before = hostspeed.calibrate(CALIBRATE_S)
     results = {}
     for n, (flights, gates) in SIZES.items():
         rng = np.random.default_rng(n)
@@ -125,9 +144,12 @@ def run(src):
             "full_distribution": _measure(lambda: full_distribution(state)),
             "sample_1000": _measure(lambda: sample(state, 1000, next(seeds))),
         }
+    after = hostspeed.calibrate(CALIBRATE_S)
+    host_chunk_ms = {"before": _chunk_ms(before), "after": _chunk_ms(after),
+                     "median": _chunk_ms(before + after)}
     return {"src": str(src), "cpu": sorted(os.sched_getaffinity(0)),
             "python": platform.python_version(), "numpy": np.__version__,
-            "results": results}
+            "host_chunk_ms": host_chunk_ms, "results": results}
 
 
 def main(argv=None):
