@@ -322,8 +322,12 @@ def canonical_record_bytes(record):
 
 def _atomic_write(path: Path, text: str):
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)  # else a failed write leaves it for good
+        raise
 
 
 def execute_run(task):

@@ -29,13 +29,13 @@ Accuracy: det P_W det Q_W agree with one LU determinant per subset of the
 2N x 2N Sigma to a relative 1e-12 for N <= 12 up to spectral radius 4,
 and probabilities stay within 1.3e-15 of a 40-digit evaluation up to
 spectral radius 6 (tested; see :func:`full_distribution`).  Memory: a
-table with k free modes holds 2^k floats; a kernel batch holds its
-gather of at most ``BATCH_BYTES`` of submatrices, its flat index (half a
-batch) and its Cholesky factors (a batch again); the subset levels of
-[k] are cached for the largest k asked for only, every smaller k reading
-their leading rows (9 MiB at k = 19, the sampler's last mode at 20
-modes).  For all four callers, :func:`_dark_law` refuses more than
-``BRUTE_FORCE_CAP`` (20) modes.
+table with k free modes holds 2^k floats; a kernel batch reuses its
+thread's buffers for a gather of at most ``BATCH_BYTES`` and its flat
+index (half that), and allocates its Cholesky factors (a batch again);
+the subset levels of [k] are cached for the largest k asked for only,
+every smaller k reading their leading rows (9 MiB at k = 19, the
+sampler's last mode at 20 modes).  For all four callers,
+:func:`_dark_law` refuses more than ``BRUTE_FORCE_CAP`` (20) modes.
 
 Pattern indexing convention: bit i of an integer pattern index is the
 outcome of mode i (index = sum_i d_i * 2^i); every 0/1 row is built by
@@ -44,6 +44,7 @@ outcome of mode i (index = sum_i d_i * 2^i); every 0/1 row is built by
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,25 @@ class _SubsetLevels:
 _subset_levels = _SubsetLevels()
 
 
+class _BatchBuffers(threading.local):
+    """``_batch_buffers(b, k)``: a batch's (b, k) rows, (b, k, k) flat index
+    (both intp) and (2, b, k, k) gather, in buffers grown to the largest
+    batch yet, so a warm kernel maps no page.  Per thread: a state may be shared."""
+
+    def __init__(self):
+        self.buffers = [np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)]
+
+    def __call__(self, b, k):
+        shapes = (b, k), (b, k, k), (2, b, k, k)
+        for i, shape in enumerate(shapes):
+            if self.buffers[i].size < math.prod(shape):
+                self.buffers[i] = np.empty(math.prod(shape), dtype=self.buffers[i].dtype)
+        return [buf[:math.prod(s)].reshape(s) for buf, s in zip(self.buffers, shapes)]
+
+
+_batch_buffers = _BatchBuffers()
+
+
 def _superset_transform(table):
     """In place along the last axis of 2^s entries: entry Z becomes the
     alternating sum over the supersets Z + Y of Z, of (-1)^|Y| table[Z + Y]."""
@@ -164,15 +184,15 @@ def _dark_law(state, dark, free, reads=None):
     transform of the table of f(dark + Z).
 
     The kernel: the subsets go one size k at a time, each row the dark
-    modes then Z.  The k x k submatrices of P and Q are gathered into one
-    (2, b, k, k) array per batch of at most BATCH_BYTES, by one ``np.take``
-    of the (2, N^2) flat blocks at r * N + c, and factored by one batched
-    Cholesky call; each det P_W det Q_W is the squared product of the 2k
-    diagonal entries.  A submatrix that is not positive definite raises
-    InvalidStateError.  The rows are uint8, like ``free[modes]``, and each
-    batch widens its rows to intp before the flat index: in uint8, r * N + c
-    wraps at 256, which N >= 17 reaches, and a wrapped gather that stays
-    positive definite gives wrong probabilities silently.
+    modes then Z.  Each batch of at most BATCH_BYTES writes its intp rows,
+    their flat index r * N + c (in uint8 it wraps from N = 17 on) and its
+    (2, b, k, k) gather of the k x k submatrices of P and Q, one ``np.take``
+    of the (2, N^2) flat blocks, into the thread's :class:`_BatchBuffers`.
+    The take's mode "clip" (under "raise", numpy gathers into a new batch
+    first) checks no index, so every mode is checked against [0, N) once
+    per call (ValueError).  One batched Cholesky call factors each batch;
+    det P_W det Q_W is the squared product of the 2k diagonal entries, and
+    a submatrix not positive definite raises InvalidStateError.
 
     ``reads`` (bitmasks, private to :func:`sample`) names the only entries
     the caller reads.  Entry Z of the transform reads only the supersets
@@ -183,8 +203,10 @@ def _dark_law(state, dark, free, reads=None):
     if n > BRUTE_FORCE_CAP:
         raise CapacityError(f"{n} modes exceed the mode cap {BRUTE_FORCE_CAP}")
     flat = state.blocks.reshape(2, n * n)
-    dark = np.asarray(dark, dtype=np.uint8)
-    free = np.asarray(free, dtype=np.uint8)
+    dark = np.asarray(dark, dtype=np.intp)
+    free = np.asarray(free, dtype=np.intp)
+    if not all(0 <= m < n for m in dark.tolist() + free.tolist()):  # the gather clips
+        raise ValueError(f"mode indices must lie in [0, {n})")
     table = np.ones(1 << free.size)
     if reads is not None:  # their upward closure: the entries whose f is needed
         needed = np.zeros(table.size, dtype=bool)
@@ -196,15 +218,16 @@ def _dark_law(state, dark, free, reads=None):
         if reads is not None:
             keep = needed[masks]
             masks, modes = masks[keep], modes[keep]
-        rows = free[modes]
-        if dark.size:
-            rows = np.concatenate([np.broadcast_to(dark, (len(masks), dark.size)), rows], axis=1)
-        k = rows.shape[1]
+        k = dark.size + modes.shape[1]
         batch = max(1, BATCH_BYTES // (flat.itemsize * 2 * k * k))
-        for start in range(0, len(rows), batch):
-            r = rows[start : start + batch].astype(np.intp)
+        for start in range(0, len(masks), batch):
+            r, index, gather = _batch_buffers(len(masks[start : start + batch]), k)
+            r[:, :dark.size] = dark
+            r[:, dark.size:] = free[modes[start : start + batch]]
+            np.multiply(r[:, :, None], n, out=index)
+            index += r[:, None, :]
             try:
-                chol = np.linalg.cholesky(np.take(flat, r[:, :, None] * n + r[:, None, :], axis=1))
+                chol = np.linalg.cholesky(np.take(flat, index, axis=1, out=gather, mode="clip"))
             except np.linalg.LinAlgError as exc:
                 raise InvalidStateError(
                     "a covariance block is not positive definite on some mode subset"
@@ -219,10 +242,10 @@ def vacuum_marginal(state, modes):
     """P(no photons on every mode in ``modes``) for one state: the one
     entry of ``_dark_law(state, modes, ())``.  CapacityError above
     ``BRUTE_FORCE_CAP`` modes."""
-    return float(_dark_law(state, _checked_modes(state.n_modes, modes), ())[0])
+    return float(_dark_law(state, _checked_modes(modes), ())[0])
 
 
-def _checked_modes(n_modes, modes):
+def _checked_modes(modes):
     modes = list(modes)
     bad = [m for m in modes if isinstance(m, bool) or not isinstance(m, numbers.Integral)]
     if bad:
@@ -230,9 +253,7 @@ def _checked_modes(n_modes, modes):
     modes = np.asarray(sorted(set(int(m) for m in modes)), dtype=int)
     if modes.size == 0:
         raise ValueError("mode subset must be nonempty")
-    if modes.min() < 0 or modes.max() >= n_modes:
-        raise ValueError(f"mode indices must lie in [0, {n_modes})")
-    return modes
+    return modes  # _dark_law checks their range
 
 
 def _clamped(probs, what):
@@ -294,15 +315,15 @@ def full_distribution(state: GaussianState):
 
     Memory: besides two tables of 2^N floats (the marginals, transformed
     in place, and the returned copy) and the cached subset levels of [N]
-    (1 MiB at N = 16), the kernel holds one batch of gathered
-    submatrices, at most BATCH_BYTES (1 MiB), its flat index and its
-    Cholesky factors at a time, whatever the size of the largest level
-    (C(16, 8) subsets at N = 16).
+    (1 MiB at N = 16), the kernel reuses its batch buffers (at most
+    BATCH_BYTES, 1 MiB, of gather) and holds one batch of Cholesky factors
+    at a time, whatever the size of the largest level (C(16, 8) subsets at
+    N = 16): a warm call at N = 16 traces a 1.5 MiB peak.
 
     Above 16 modes it is slow (one core of a shared Intel Xeon host):
-    0.29-0.44 s at N = 17, 0.36-0.54 s at N = 18, 0.8-1.2 s at N = 19 and
-    1.7-3.2 s at N = 20, with a 35 MiB traced peak, so 50N exact CVaR
-    evaluations at N >= 19 outlast 600 s.
+    0.29-0.30 s at N = 17, 0.47-0.60 s at N = 18, 1.3-1.4 s at N = 19 and
+    3.0-3.1 s at N = 20, with a 16 MiB traced peak once the subset levels
+    are cached, so 50N exact CVaR evaluations at N >= 19 outlast 600 s.
     """
     n = state.n_modes
     law = _dark_law(state, np.empty(0), np.arange(n))

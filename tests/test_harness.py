@@ -19,6 +19,7 @@ from gbsopt import (
 )
 from gbsopt.cli import main
 from gbsopt.harness import (
+    _atomic_write,
     _derive_seed,
     build_report,
     canonical_record_bytes,
@@ -290,6 +291,19 @@ class TestRunExperiment:
         squeezings = [json.loads(f.read_text())["metadata"]["max_squeezing"]
                       for f in sorted((tmp_path / "runs").glob("*.json"))]
         assert squeezings.count(None) == 1
+
+    def test_failed_atomic_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        path.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            _atomic_write(path, "new\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+        assert path.read_text() == "old\n"
 
     def test_worker_resolution(self):
         assert resolve_workers(3) == 3

@@ -2,6 +2,8 @@
 
 import itertools
 import re
+import sys
+import threading
 import tracemalloc
 import types
 from collections import Counter
@@ -25,6 +27,7 @@ from gbsopt.gaussian import GaussianState, takagi_decompose
 from gbsopt.torontonian import (
     BATCH_BYTES,
     PatternDistribution,
+    _BatchBuffers,
     _dark_law,
     _subset_levels,
     all_patterns,
@@ -206,6 +209,67 @@ class TestSubsetDeterminants:
         tables = 4 * 8 * (1 << 16)
         assert peak < tables + 4 * BATCH_BYTES
         assert peak < unbatched_level / 3
+
+    def test_warm_kernel_allocates_no_batch_buffers_at_16_modes(self):
+        state = random_state(np.random.default_rng(16), 16, 1.0)
+        full_distribution(state)  # grows this thread's batch buffers
+        tracemalloc.start()
+        try:
+            full_distribution(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two tables of 2^16 floats and one batch of Cholesky factors
+        assert peak < 2 * 2**20
+
+    def test_grown_buffers_give_the_same_tables(self, monkeypatch):
+        monkeypatch.setattr(gbsopt.torontonian, "_batch_buffers", _BatchBuffers())
+        small = random_state(np.random.default_rng(6), 6, 2.0)
+        cases = [((), np.arange(6)), ([1, 4], [0, 2, 3, 5]), ([0, 5], [])]
+        before = [_dark_law(small, dark, free) for dark, free in cases]
+        grown = gbsopt.torontonian._batch_buffers.buffers[2].size
+        full_distribution(random_state(np.random.default_rng(16), 16, 1.0))
+        assert gbsopt.torontonian._batch_buffers.buffers[2].size > grown
+        for (dark, free), table in zip(cases, before):
+            assert np.array_equal(_dark_law(small, dark, free), table)
+
+    def test_modes_outside_the_state_are_refused(self):
+        # the gather clips its index, so the kernel checks the modes itself
+        state = random_state(np.random.default_rng(6), 6, 1.0)
+        for dark, free in ([6], [0]), ([0], [6]), ([], [0, 7]), ([-1], []):
+            with pytest.raises(ValueError, match=r"mode indices must lie in \[0, 6\)"):
+                _dark_law(state, dark, free)
+        with pytest.raises(ValueError, match=r"mode indices must lie in \[0, 6\)"):
+            vacuum_marginal(state, [0, 6])
+
+    def test_threads_sharing_states_get_the_serial_tables(self):
+        states = [random_state(np.random.default_rng(n), n, 1.0) for n in (9, 11, 12, 13)]
+        want = [full_distribution(state).probs for state in states]
+        wrong = []
+
+        def work(t):
+            for call in range(20):
+                i = (t + call) % len(states)
+                try:
+                    got = full_distribution(states[i]).probs
+                except InvalidStateError as exc:
+                    wrong.append(exc)
+                else:
+                    if not np.array_equal(got, want[i]):
+                        wrong.append(states[i].n_modes)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestMpmathReference:

@@ -13,13 +13,23 @@ after one warm-up call:
   entries;
 * ``adam_pass``: one ``optim._adam_pass``, timed inside a real ADAM run
   (``train`` at alpha 1 with ``adam_steps`` 40), so whatever a run sets up
-  for its steps is in place;
+  for its steps is in place; in both timed runs the first call is the
+  warm-up, and the ADAM run shares this process;
 * ``full_distribution``: ``torontonian.full_distribution`` of one state;
+* ``exact_eval``: one evaluation of the exact objective (theta, state,
+  ``full_distribution``, CVaR), timed inside a real exact COBYLA run
+  (``train`` at alpha 0.1) in a fresh process spawned for it.  A run's
+  page faults depend on what the process allocated and freed before:
+  after this script's other rows, a kernel that allocates every batch
+  afresh read 3 faults per evaluation at N = 16, against 30.7k in a fresh
+  process, and a tight loop of ``full_distribution`` calls reads 0.  The
+  run has COBYLA's smallest budget, 3N + 2 evaluations, except at N = 20,
+  where one evaluation takes seconds and it has 4, so that median is of 3;
 * ``sample_1000``: 1000 shots of ``torontonian.sample``.
 
 Every theta sits near the training start: upper entries uniform on
 [-0.1, 0.1].  Each entry gives the median wall time of a call in ms and
-the minor page faults per call (``ru_minflt`` of this process, summed
+the minor page faults per call (``ru_minflt`` of the process, summed
 over the timed calls and divided by their number).  The process pins
 itself to one core and BLAS to one thread first, so two runs on one host
 compare the code, not the thread pool.
@@ -45,11 +55,14 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import multiprocessing  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import warnings  # noqa: E402
+from concurrent.futures import ProcessPoolExecutor  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 SWEEPBENCH = Path(__file__).resolve().parents[1] / "sweepbench"
@@ -58,6 +71,8 @@ SIZES = {8: (2, 4), 10: (2, 5), 12: (3, 4), 16: (4, 4), 20: (4, 5)}
 BUDGET_S = 0.5
 MAX_CALLS = 200
 ADAM_STEPS = 40
+#: evaluations of the exact COBYLA run, by N
+EXACT_EVALS = {n: 3 * n + 2 for n in SIZES} | {20: 4}
 #: seconds of calibration chunks before and after the measurements
 CALIBRATE_S = 0.3
 
@@ -79,10 +94,11 @@ def _measure(call):
             "minflt_per_call": round(faults / len(times), 2), "calls": len(times)}
 
 
-def _adam_pass_figures(optim, qubo):
-    """Median ms and faults per ``_adam_pass`` call inside one ADAM run."""
+def _run_figures(optim, qubo, cfg, owner, name):
+    """Median ms and faults per call of ``owner.name`` (a module function
+    or a method) inside one ``train(qubo, cfg)``, without the first call."""
     times, faults = [], []
-    real = optim._adam_pass
+    real = getattr(owner, name)
 
     def timed(*args):
         flt, t0 = _minflt(), time.perf_counter()
@@ -91,14 +107,34 @@ def _adam_pass_figures(optim, qubo):
         faults.append(_minflt() - flt)
         return out
 
-    optim._adam_pass = timed
+    setattr(owner, name, timed)
     try:
-        optim.train(qubo, optim.TrainConfig(seed=1, adam_steps=ADAM_STEPS, max_seconds=None))
+        optim.train(qubo, cfg)
     finally:
-        optim._adam_pass = real
-    times, faults = times[1:], faults[1:]  # the first step is the warm-up
+        setattr(owner, name, real)
+    times, faults = times[1:], faults[1:]  # the first call is the warm-up
     return {"median_ms": round(1e3 * statistics.median(times), 4),
             "minflt_per_call": round(sum(faults) / len(faults), 2), "calls": len(times)}
+
+
+def _exact_eval_figures(src, n):
+    """The ``exact_eval`` row at N = ``n``, from a process spawned for it."""
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return pool.submit(_exact_run_figures, src, n).result()
+
+
+def _exact_run_figures(src, n):
+    """``_run_figures`` of ``_Objective._cost`` in one exact COBYLA run at
+    N = ``n``, in this process."""
+    sys.path.insert(0, str(src))
+    from gbsopt import optim
+    from gbsopt.problems import assemble_qubo, generate_instance
+
+    qubo = assemble_qubo(generate_instance(*SIZES[n], seed=n))
+    cfg = optim.TrainConfig(seed=1, alpha=0.1, max_evals=EXACT_EVALS[n], max_seconds=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # COBYLA: a budget below 3N + 2
+        return _run_figures(optim, qubo, cfg, optim._Objective, "_cost")
 
 
 def _chunk_ms(times):
@@ -140,8 +176,10 @@ def run(src):
         results[str(n)] = {
             "covariance_blocks_1": _measure(lambda: covariance_blocks(theta)),
             "covariance_blocks_probes": _measure(lambda: covariance_blocks(probes)),
-            "adam_pass": _adam_pass_figures(optim, qubo),
+            "adam_pass": _run_figures(optim, qubo, optim.TrainConfig(
+                seed=1, adam_steps=ADAM_STEPS, max_seconds=None), optim, "_adam_pass"),
             "full_distribution": _measure(lambda: full_distribution(state)),
+            "exact_eval": _exact_eval_figures(src, n),
             "sample_1000": _measure(lambda: sample(state, 1000, next(seeds))),
         }
     after = hostspeed.calibrate(CALIBRATE_S)
