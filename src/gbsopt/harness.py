@@ -50,7 +50,7 @@ from .optim import (
 from .problems import (
     BRUTE_FORCE_CAP,
     FgaInstance,
-    _is_integer,
+    _is_number,
     assemble_qubo,
     dump_instance,
     generate_instance,
@@ -100,11 +100,11 @@ def _normalize_sizes(sizes):
         raise ValueError(f"sizes = {sizes!r} must be a list of mode counts or pairs")
     out = []
     for entry in sizes:
-        if _is_integer(entry):
+        if _is_number(entry):
             if entry < 1:
                 raise ValueError(f"sizes: mode count {entry} is below 1")
             entry = size_to_flights_gates(int(entry))
-        elif not isinstance(entry, (list, tuple)) or not all(_is_integer(v) for v in entry):
+        elif not isinstance(entry, (list, tuple)) or not all(_is_number(v) for v in entry):
             raise ValueError(f"sizes: {entry!r} is not a mode count or a pair of integers")
         f, g = (int(v) for v in entry)
         if f < 1 or g < 1:
@@ -404,7 +404,7 @@ def resolve_workers(workers=None):
     raises ValueError."""
     if workers is None:
         return max(1, os.cpu_count() or 1)
-    if not _is_integer(workers) or workers < 1:
+    if not _is_number(workers) or workers < 1:
         raise ValueError(f"workers = {workers!r} must be an integer >= 1")
     return int(workers)
 

@@ -265,22 +265,17 @@ def _energies_from_blocks(blocks, qubo):
       <P1_i P1_j> = 1 - pv(i) - pv(j) + pv(ij)
 
     so the whole expectation costs the O(N^2) closed-form 1 x 1 and 2 x 2
-    minors of P and Q per state.
-
-    Each state's <Q> ends in matrix-vector products over the stack, and
-    the BLAS kernel behind them (gemv) depends on the stack's shape: a row
-    of a stacked call can differ in its last bits from the one-row call on
-    the same blocks.  This is why ADAM takes its iterate's cost from a
-    one-row reduction, the one :func:`expected_energy_analytic` makes.
+    minors of P and Q per state.  Each state's N one-mode terms and
+    N(N-1)/2 pair terms are added left to right by one cumulative sum,
+    then the constant sum(q_ii) + offset: a row's bits never depend on the
+    rows stacked with it.
     """
     ii, jj = triangle_indices(qubo.n, 1)  # pairs i < j in row-major order
     pv1, pv2 = pair_vacuum_marginals(blocks)
     diag = np.diag(qubo.q)
-    out = pv1 @ (-diag) + diag.sum()
-    if ii.size:
-        joint = 1.0 - pv1[..., ii] - pv1[..., jj] + pv2
-        out = out + joint @ (2.0 * qubo.q[ii, jj])
-    return out + qubo.offset
+    joint = 1.0 - pv1[..., ii] - pv1[..., jj] + pv2
+    terms = np.concatenate([pv1 * -diag, joint * (2.0 * qubo.q[ii, jj])], axis=-1)
+    return np.cumsum(terms, axis=-1)[..., -1] + (diag.sum() + qubo.offset)
 
 
 def expected_energy_analytic(qubo, state):
@@ -288,7 +283,7 @@ def expected_energy_analytic(qubo, state):
 
     Agrees with the enumeration expectation to 1e-8 but needs only one-
     and two-mode vacuum marginals, i.e. the 1 x 1 and 2 x 2 principal
-    minors of P and Q, reduced as a one-row stack as ADAM's iterates are.
+    minors of P and Q: row 0 of a one-row stack.
     """
     if state.n_modes != qubo.n:
         raise ValueError("state and QUBO dimensions differ")
@@ -387,7 +382,7 @@ def _run_cobyla(objective, x0):
             x0,
             method="COBYLA",
             options={
-                "maxiter": objective.cfg.max_evals,
+                "maxiter": max(objective.cfg.max_evals, len(x0) + 2),  # PRIMA's floor, unwarned
                 "rhobeg": 0.5 * INIT_SCALE,
                 "tol": 1e-6,
             },
@@ -430,27 +425,24 @@ def _adam_pass(objective, params, work):
     """Evaluate the iterate ``params`` and its 2m probes in one batched pass.
 
     ``work`` is the run's :class:`_AdamWorkspace`: the rows are written
-    into it in place, and one ``taylor_blocks`` pass in its Taylor buffers
-    builds every row's blocks (each bit for bit its one-row result).  The
-    iterate is recorded like any evaluation, its cost taken from a one-row
-    reduction of row 0; the probes are only counted.  A probe whose
-    e^{+-2 theta} overflows raises InvalidStateError before the iterate is
-    recorded, not just after it; only a non-finite iterate cost in that
-    same step would have raised first.  Returns the 2m probe costs, +/-
-    pairs adjacent; the blocks stay in ``work`` until the next pass
-    overwrites them.
+    into it in place, one ``taylor_blocks`` pass in its Taylor buffers
+    builds every row's blocks and one :func:`_energies_from_blocks` call
+    their costs, each bit for bit its one-row result.  Row 0, the
+    iterate, is recorded like any evaluation; the probes are only counted.
+    A probe whose e^{+-2 theta} overflows raises InvalidStateError before
+    the iterate is recorded, not just after it; only a non-finite iterate
+    cost in that same step would have raised first.  Returns the 2m probe
+    costs, +/- pairs adjacent; the blocks stay in ``work`` until the next
+    pass overwrites them.
     """
-    dim = params.size
     thetas = work.write_rows(params)
     ThetaMatrix(thetas[0])  # the iterate's checks, as every evaluation makes them
-    blocks = taylor_blocks(thetas, work.taylor)
-    qubo = objective.qubo
-    objective._record(params, float(_energies_from_blocks(blocks[:, :1], qubo)[0]))
-    costs = _energies_from_blocks(blocks[:, 1:], qubo)
-    objective.n_evals += 2 * dim
+    costs = _energies_from_blocks(taylor_blocks(thetas, work.taylor), objective.qubo)
+    objective._record(params, float(costs[0]))
+    objective.n_evals += costs.size - 1
     if not np.all(np.isfinite(costs)):
         raise TrainingFailedError("non-finite training cost", trace=objective.trace)
-    return costs
+    return costs[1:]
 
 
 def _run_adam(objective, x0):

@@ -14,7 +14,7 @@ constraints; that sufficiency is covered by tests.
 
 import itertools
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -360,10 +360,11 @@ def dump_instance(instance):
     )
 
 
-def _is_integer(value):
-    """True for an integer that is not a bool; plans and instance files check
-    their counts, seeds and indices with it."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+def _is_number(value, kind=Integral):
+    """True for a number of ``kind`` that is not a bool: by default an integer,
+    as the counts, seeds and indices of plans and instance files must be;
+    with ``kind=Real``, as an instance file's weights and transfer entries."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def load_instance(text):
@@ -380,27 +381,32 @@ def load_instance(text):
     if missing:
         raise ValueError(f"instance lacks key(s) {missing}")
     for key in ("n_flights", "n_gates", "seed"):
-        if not _is_integer(data[key]):
+        if not _is_number(data[key]):
             raise ValueError(f"malformed instance: {key} = {data[key]!r} is not an integer")
     pairs = data["forbidden_pairs"]
     if not isinstance(pairs, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 and all(_is_integer(v) for v in pair)
+        isinstance(pair, list) and len(pair) == 2 and all(_is_number(v) for v in pair)
         for pair in pairs
     ):
         raise ValueError(f"malformed instance: forbidden_pairs = {pairs!r} "
                          "is not a list of integer pairs")
-    try:
-        return FgaInstance(
-            n_flights=data["n_flights"],
-            n_gates=data["n_gates"],
-            transfer=np.array(data["transfer_matrix"], dtype=float),
-            forbidden_pairs=tuple(tuple(pair) for pair in pairs),
-            lambda_one=float(data["lambda_one"]),
-            lambda_not=float(data["lambda_not"]),
-            seed=data["seed"],
-        )
-    except TypeError as exc:  # a null or a list where a number belongs, and the like
-        raise ValueError(f"malformed instance: {exc}") from exc
+    for key in ("lambda_one", "lambda_not"):
+        if not _is_number(data[key], Real):
+            raise ValueError(f"malformed instance: {key} = {data[key]!r} is not a number")
+    transfer = data["transfer_matrix"]
+    if not isinstance(transfer, list) or not all(
+        isinstance(row, list) and all(_is_number(v, Real) for v in row) for row in transfer
+    ):
+        raise ValueError("malformed instance: transfer_matrix is not a list of rows of numbers")
+    return FgaInstance(
+        n_flights=data["n_flights"],
+        n_gates=data["n_gates"],
+        transfer=np.array(transfer, dtype=float),
+        forbidden_pairs=tuple(tuple(pair) for pair in pairs),
+        lambda_one=float(data["lambda_one"]),
+        lambda_not=float(data["lambda_not"]),
+        seed=data["seed"],
+    )
 
 
 def instance_filename(n_modes, seed):

@@ -1,9 +1,10 @@
-"""The names the sweep benchmark reaches into gbsopt through still exist.
+"""The names the benchmarks reach into gbsopt through still exist.
 
-``sweepbench/spans.py`` rebinds the attributes listed in ``TRACED`` and
-``sweepbench/run.py`` calls a few public entry points; a renamed hook
-would otherwise show only when a traced benchmark run crashes.  Both
-files are read here, never edited.
+``sweepbench/spans.py`` rebinds the attributes listed in ``TRACED``,
+``sweepbench/run.py`` calls a few public entry points and
+``tools/microbench.py`` times private hooks of ``optim``; a renamed hook
+would otherwise show only when a benchmark run crashes.  These files are
+read here, never edited.
 """
 
 import ast
@@ -15,6 +16,7 @@ import pytest
 import gbsopt
 
 SWEEPBENCH = Path(__file__).resolve().parents[1] / "sweepbench"
+MICROBENCH = Path(__file__).resolve().parents[1] / "tools" / "microbench.py"
 
 
 def resolve(path):
@@ -46,6 +48,23 @@ def run_entry_points():
     return sorted(found)
 
 
+def microbench_names():
+    """Dotted paths below gbsopt that microbench.py reaches: the names it
+    imports from gbsopt, its ``optim.*`` attributes and the ``owner,
+    "name"`` targets of its ``_run_figures`` calls."""
+    found = set()
+    for node in ast.walk(ast.parse(MICROBENCH.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "gbsopt":
+            prefix = node.module.removeprefix("gbsopt").lstrip(".")
+            found.update(".".join(filter(None, (prefix, alias.name))) for alias in node.names)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_run_figures":
+            *_, owner, name = node.args
+            found.add(f"{ast.unparse(owner)}.{name.value}")
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "optim":
+            found.add(f"optim.{node.attr}")
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", traced_paths())
 def test_traced_hook_resolves_to_a_callable(path):
     assert callable(resolve(path))
@@ -56,6 +75,16 @@ def test_run_entry_points_resolve():
     assert {
         "sample", "state_from_theta", "ThetaMatrix", "harness.ExperimentPlan.from_dict",
         "harness.run_experiment", "harness.verify_report",
+    } <= set(paths)
+    for path in paths:
+        resolve(path)
+
+
+def test_microbench_names_resolve():
+    paths = microbench_names()
+    assert {
+        "optim._adam_pass", "optim._Objective._cost", "optim.train", "optim.TrainConfig",
+        "gaussian.covariance_blocks", "torontonian.full_distribution",
     } <= set(paths)
     for path in paths:
         resolve(path)

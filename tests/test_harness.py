@@ -373,10 +373,12 @@ class TestCli:
             ("{not json", "Expecting property name"),
             ('{"format_version": 1}', "instance lacks key(s) ['n_flights', 'n_gates'"),
             ("[1, 2]", "an instance must be a JSON object, not list"),
-            (json.dumps({**good, "lambda_one": "nan"}), "lambda_one = nan must be finite"),
+            (json.dumps({**good, "lambda_one": float("nan")}), "lambda_one = nan must be finite"),
             (json.dumps({**good, "lambda_not": float("inf")}), "lambda_not = inf must be"),
-            (json.dumps({**good, "transfer_matrix": [["nan", 0], [0, 0]]}),
+            (json.dumps({**good, "transfer_matrix": [[float("nan"), 0], [0, 0]]}),
              "transfer matrix entries must be finite"),
+            (json.dumps({**good, "transfer_matrix": [[0, "7.5"], ["7.5", 0]]}),
+             "transfer_matrix is not a list of rows of numbers"),
             (json.dumps({**good, "seed": None}), "malformed instance"),
             (json.dumps({**good, "n_flights": 2.7}), "n_flights = 2.7 is not an integer"),
             (json.dumps({**good, "n_gates": True}), "n_gates = True is not an integer"),

@@ -1,6 +1,7 @@
 """Tests for cost functions, masking and the training drivers."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -171,15 +172,21 @@ class TestAnalyticExpectation:
             assert expected_energy_analytic(qubo, state) == pytest.approx(exact, abs=1e-8)
 
     def test_batch_matches_single(self):
-        rng = np.random.default_rng(43)
-        qubo = random_qubo(rng, 5)
-        thetas = np.stack([bounded_random_theta(rng, 5) for _ in range(7)])
-        batch = _energies_from_blocks(covariance_blocks(thetas), qubo)
-        for k in range(7):
-            single = expected_energy_analytic(
-                qubo, state_from_theta(ThetaMatrix(thetas[k]))
-            )
-            assert batch[k] == pytest.approx(single, rel=1e-12)
+        # every row of an ADAM-shaped stack (2m + 1 rows) and of its
+        # sub-stacks is bit for bit the one-row <Q> of its theta
+        for n in (1, 6, 16, 20):
+            rng = np.random.default_rng(43 + n)
+            qubo = random_qubo(rng, n)
+            rows = 2 * min(MASK_PER_MODE * n, n * (n + 1) // 2) + 1
+            thetas = np.stack([bounded_random_theta(rng, n) for _ in range(rows)])
+            single = np.array([
+                expected_energy_analytic(qubo, state_from_theta(ThetaMatrix(theta)))
+                for theta in thetas
+            ])
+            middle = slice(rows // 2, rows // 2 + 2)
+            for part in (slice(None), slice(1, None), slice(0, 1), middle):
+                batch = _energies_from_blocks(covariance_blocks(thetas[part]), qubo)
+                assert np.array_equal(batch, single[part]), (n, part)
 
     def test_dimension_mismatch(self):
         qubo = QuboProblem(q=np.eye(3))
@@ -350,7 +357,7 @@ class TestTrain:
                 assert np.array_equal(row, self._reference_theta(n, upper, positions, row_params))
 
     def test_adam_steps_allocate_no_taylor_workspace(self, monkeypatch):
-        # after step 1, steps 2 to 10 at N = 16 traced a 0.53 MiB peak (the
+        # after step 1, steps 2 to 10 at N = 16 traced a 0.54 MiB peak (the
         # closed-form <Q> of 97 rows), where a fresh (97, 7, 16, 16) Taylor
         # workspace per step alone is 1.33 MiB
         bound = 0.8 * 2**20
@@ -384,6 +391,15 @@ class TestTrain:
         assert min(c for _, c in record.cost_trace) == pytest.approx(
             min(c for _, c in record.cost_trace)
         )
+
+    def test_budget_below_cobylas_first_simplex_stops_without_a_warning(self):
+        # 2 x 3 trains m = 18 entries, so COBYLA's first simplex needs 20
+        # evaluations; the objective's budget still stops the run at 5
+        qubo = assemble_qubo(generate_instance(2, 3, seed=7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = train(qubo, TrainConfig(seed=2, alpha=0.1, max_evals=5))
+        assert record.n_evals == len(record.cost_trace) == 5
 
     def test_best_theta_attains_min_recorded_cost(self):
         instance = generate_instance(2, 2, seed=19)

@@ -1,5 +1,7 @@
 """Tests for instance generation, QUBO assembly and exact solving."""
 
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -295,6 +297,19 @@ class TestInstanceFiles:
         text = dump_instance(instance).replace('"format_version": 1', '"format_version": 99')
         with pytest.raises(ValueError, match="format_version"):
             load_instance(text)
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("lambda_one", True, "lambda_one = True is not a number"),
+        ("lambda_not", False, "lambda_not = False is not a number"),
+        ("lambda_one", "7.5", "lambda_one = '7.5' is not a number"),
+        ("transfer_matrix", [[0, "7.5"], ["7.5", 0]], "transfer_matrix is not a list of rows"),
+        ("transfer_matrix", [[0, True], [True, 0]], "transfer_matrix is not a list of rows"),
+        ("transfer_matrix", [[0, None], [None, 0]], "transfer_matrix is not a list of rows"),
+    ])
+    def test_refuses_weights_and_transfers_that_are_not_numbers(self, key, value, named):
+        data = json.loads(dump_instance(generate_instance(1, 2, seed=1)))
+        with pytest.raises(ValueError, match=re.escape(f"malformed instance: {named}")):
+            load_instance(json.dumps({**data, key: value}))
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -61,7 +61,6 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
-import warnings  # noqa: E402
 from concurrent.futures import ProcessPoolExecutor  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -132,9 +131,7 @@ def _exact_run_figures(src, n):
 
     qubo = assemble_qubo(generate_instance(*SIZES[n], seed=n))
     cfg = optim.TrainConfig(seed=1, alpha=0.1, max_evals=EXACT_EVALS[n], max_seconds=None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # COBYLA: a budget below 3N + 2
-        return _run_figures(optim, qubo, cfg, optim._Objective, "_cost")
+    return _run_figures(optim, qubo, cfg, optim._Objective, "_cost")
 
 
 def _chunk_ms(times):
