@@ -38,13 +38,14 @@ error stays below 1e-14 for N <= 16 up to spectral radius 5.5 (tested);
 the envelope of the subset determinants and of the probabilities is
 given in :mod:`gbsopt.torontonian`.  Memory: a state is 2 N^2 floats; a
 series pass over B rows works in one :class:`TaylorWorkspace` of
-10 B N^2 floats, fresh per :func:`covariance_blocks` call and reused by
-every step of an ADAM run.
+10 B N^2 floats: the caller's, as an ADAM run passes its one workspace
+to every step, or else a fresh one per :func:`covariance_blocks` call.
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -87,6 +88,14 @@ def _frozen_array(a, dtype=None):
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _is_number(value, kind=Integral):
+    """True for a number of ``kind`` that is not a bool: by default an integer,
+    as mode indices, shot counts and the counts, seeds and indices of plans
+    and instance files must be; with ``kind=Real``, as an instance file's
+    weights and transfer entries."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @functools.lru_cache(maxsize=64)
@@ -248,7 +257,7 @@ def takagi_decompose(theta):
 
 
 class TaylorWorkspace:
-    """The buffers of one :func:`taylor_blocks` pass over ``rows`` N x N rows.
+    """The buffers of one :func:`covariance_blocks` pass over ``rows`` N x N rows.
 
     Each is its own contiguous array: the scaled rows A (and first
     |theta|), the powers A^2, A^4 and A^6, one (even, odd) chunk and one
@@ -269,46 +278,36 @@ class TaylorWorkspace:
         self.blocks = parts[8:].reshape(2, rows, n, n)
 
 
-def covariance_blocks(thetas):
+@np.errstate(over="ignore", invalid="ignore")
+def covariance_blocks(thetas, work=None):
     """P and Q of real symmetric matrices on the last two axes, stacked first.
 
     For thetas of shape (..., N, N) the result has shape (2, ..., N, N):
     P = (I + e^X) / 2 and Q = (I + e^{-X}) / 2 for X = 2 theta, from one
-    batched Taylor series with scaling and squaring (:func:`taylor_blocks`)
-    in a fresh :class:`TaylorWorkspace`, so the blocks share memory with
-    nothing else.  Each row is bit for bit what a one-row call returns.
-    Against a 40-digit reference, P and Q keep a normwise relative error
-    below 1e-14 up to spectral radius 5.5 (tested).  A row whose e^{+-X}
-    overflows raises InvalidStateError.
+    batched Taylor series run in the buffers of ``work``, a
+    :class:`TaylorWorkspace` of the stack's (rows, N), or of a fresh one
+    when ``work`` is None.  The result is a view of ``work.blocks``, valid
+    until the next call in ``work``; ``thetas`` is only read.  Scaling and
+    squaring follows Al-Mohy & Higham (SIAM J. Matrix Anal. Appl. 31
+    (2009) 970-989): each row is scaled by its own s = max(0, ceil(log2
+    ||X||_1)), so A = X / 2^s has ||A||_1 <= 1 and the series e^A, kept to
+    degree 19, leaves a remainder below e / 20! < 2^-53.  The even and odd
+    parts of the series are polynomials in A^2, evaluated together by
+    Paterson-Stockmeyer on A^2, A^4 and A^6 (SIAM J. Comput. 2 (1973)
+    60-66), and e^{+-A} = even +- odd are squared s times.  Every step acts
+    on one row at a time and no step depends on the buffers' layout, so
+    each row is bit for bit what a one-row call returns, in a given
+    workspace or a fresh one.  Both blocks are averaged with their
+    transposes to be exactly symmetric.  Against a 40-digit reference, P
+    and Q keep a normwise relative error below 1e-14 up to spectral
+    radius 5.5 (tested).  A row whose e^{+-X} overflows raises
+    InvalidStateError.
     """
     thetas = np.asarray(thetas, dtype=float)
     shape, n = thetas.shape[:-2], thetas.shape[-1]
     thetas = thetas.reshape((-1, n, n))
-    blocks = taylor_blocks(thetas, TaylorWorkspace(thetas.shape[0], n))
-    return blocks.reshape((2,) + shape + (n, n))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def taylor_blocks(thetas, work):
-    """P and Q of a (rows, N, N) stack of thetas, as ``work.blocks``.
-
-    The one Taylor series behind :func:`covariance_blocks`, run in the
-    buffers of ``work``, a :class:`TaylorWorkspace` of the stack's shape;
-    ``thetas`` is only read.  The result is ``work.blocks`` itself, valid
-    until the next pass in ``work``.  Scaling and squaring follows
-    Al-Mohy & Higham (SIAM J. Matrix Anal. Appl. 31 (2009) 970-989):
-    each row is scaled by its own s = max(0, ceil(log2 ||X||_1)), so
-    A = X / 2^s has ||A||_1 <= 1 and the series e^A, kept to degree 19,
-    leaves a remainder below e / 20! < 2^-53.  The even and odd parts of
-    the series are polynomials in A^2, evaluated together by Paterson-
-    Stockmeyer on A^2, A^4 and A^6 (SIAM J. Comput. 2 (1973) 60-66), and
-    e^{+-A} = even +- odd are squared s times.  Every step acts on one row
-    at a time and no step depends on the buffers' layout, so each row is
-    bit for bit what a one-row call returns.  Both blocks are averaged
-    with their transposes to be exactly symmetric.  A row whose e^{+-X}
-    overflows raises InvalidStateError.
-    """
-    n = thetas.shape[-1]
+    if work is None:
+        work = TaylorWorkspace(thetas.shape[0], n)
     a, powers, chunk, prod, blocks = work.a, work.powers, work.chunk, work.prod, work.blocks
     # s from the exact exponent of ||X||_1 = 2 ||theta||_1 = frac 2^e,
     # frac in [1/2, 1): ceil(log2) is e, or e - 1 at a power of two.
@@ -353,7 +352,7 @@ def taylor_blocks(thetas, work):
     blocks.reshape(-1, n * n)[:, :: n + 1] += 0.5
     if not np.all(np.isfinite(blocks)):
         raise InvalidStateError("e^{+-2 theta} overflows float64")
-    return blocks
+    return blocks.reshape((2,) + shape + (n, n))
 
 
 def state_from_theta(theta):

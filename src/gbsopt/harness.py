@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityError, GbsOptError
+from .gaussian import _is_number
 from .optim import (
     DEFAULT_THRESHOLDS,
     TrainConfig,
@@ -50,7 +51,6 @@ from .optim import (
 from .problems import (
     BRUTE_FORCE_CAP,
     FgaInstance,
-    _is_number,
     assemble_qubo,
     dump_instance,
     generate_instance,

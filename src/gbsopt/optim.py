@@ -14,9 +14,9 @@ Training touches only a masked subset of the parameter matrix entries,
 chosen from the smallest QUBO coefficients; everything else stays frozen
 at its random initialization.  ``_Objective`` owns a run's theta: the
 initial ThetaMatrix, with the trained entries written at their upper and
-lower flat slots for each evaluation and each row of an ADAM step.  The
-mask size, the initialization scale and the ADAM step size are the
-module constants below.
+lower flat slots by one method, for each evaluation and each row of an
+ADAM step.  The mask size, the initialization scale and the ADAM step
+size are the module constants below.
 
 COBYLA is the only user of scipy, so ``scipy.optimize`` loads on the
 first COBYLA run, not at ``import gbsopt``.  ``_run_cobyla`` calls it
@@ -36,9 +36,9 @@ from .errors import TrainingFailedError
 from .gaussian import (
     TaylorWorkspace,
     ThetaMatrix,
+    covariance_blocks,
     pair_vacuum_marginals,
     state_from_theta,
-    taylor_blocks,
     triangle_indices,
 )
 from .problems import brute_force_solve
@@ -311,12 +311,19 @@ class _Objective:
         self.started = time.monotonic()
         self.timed_out = False
 
+    def write_params(self, rows, thetas):
+        """Write row r of the (R, m) parameters ``rows`` at the trained upper
+        and lower flat slots of ``thetas[r]``, in place; ``thetas`` is an
+        (R, N, N) stack, and its other entries are left as they are."""
+        flat = thetas.reshape(len(thetas), -1)
+        for slots in self.slots:
+            flat[:, slots] = rows
+
     def theta_for(self, params):
         """The initial theta with ``params`` written at the trained slots."""
-        flat = self.theta_init.flatten()
-        for slots in self.slots:
-            flat[slots] = params
-        return ThetaMatrix(flat.reshape(self.n, self.n))
+        theta = self.theta_init[np.newaxis].copy()
+        self.write_params([params], theta)
+        return ThetaMatrix(theta[0])
 
     def _check_budget(self):
         if self.n_evals == 0:
@@ -391,54 +398,25 @@ def _run_cobyla(objective, x0):
         pass
 
 
-class _AdamWorkspace:
-    """The buffers one ADAM run reuses at every step: the 2m + 1 rows of
-    its batched pass and their :class:`TaylorWorkspace`.
+def _adam_pass(objective, rows, thetas, work):
+    """Evaluate the (2m + 1, m) parameter ``rows`` in one batched pass.
 
-    Row 0 is the iterate; rows 2k + 1 and 2k + 2 shift parameter k by
-    +FD_STEP and -FD_STEP.  Every row starts as the objective's initial
-    theta; a step writes only the trained entries, through the
-    objective's upper and lower flat slots, as ``theta_for`` does.
+    Row 0 is the iterate and the other rows its probes.  The rows are
+    written into ``thetas``, the run's (2m + 1, N, N) stack, in place; one
+    :func:`covariance_blocks` call in ``work``, the run's
+    :class:`TaylorWorkspace`, builds every row's blocks and one
+    :func:`_energies_from_blocks` call their costs, each bit for bit its
+    one-row result.  The iterate is recorded like any evaluation; the
+    probes are only counted.  A probe whose e^{+-2 theta} overflows raises
+    InvalidStateError before the iterate is recorded, not just after it;
+    only a non-finite iterate cost in that same step would have raised
+    first.  Returns the 2m probe costs, +/- pairs adjacent; the blocks
+    stay in ``work`` until the next pass overwrites them.
     """
-
-    def __init__(self, objective):
-        n, dim = objective.n, objective.slots[0].size
-        self.thetas = np.repeat(objective.theta_init[np.newaxis], 2 * dim + 1, axis=0)
-        self.slots = objective.slots
-        self.probe_rows = 2 * np.arange(dim) + 1
-        self.taylor = TaylorWorkspace(2 * dim + 1, n)
-
-    def write_rows(self, params):
-        """The (2m + 1, N, N) thetas of the iterate ``params`` and its probes,
-        written in place: row r is bit for bit ``theta_for`` of row r's
-        parameters."""
-        flat = self.thetas.reshape(self.thetas.shape[0], -1)
-        plus, minus = params + FD_STEP, params - FD_STEP
-        for slots in self.slots:
-            flat[:, slots] = params
-            flat[self.probe_rows, slots] = plus
-            flat[self.probe_rows + 1, slots] = minus
-        return self.thetas
-
-
-def _adam_pass(objective, params, work):
-    """Evaluate the iterate ``params`` and its 2m probes in one batched pass.
-
-    ``work`` is the run's :class:`_AdamWorkspace`: the rows are written
-    into it in place, one ``taylor_blocks`` pass in its Taylor buffers
-    builds every row's blocks and one :func:`_energies_from_blocks` call
-    their costs, each bit for bit its one-row result.  Row 0, the
-    iterate, is recorded like any evaluation; the probes are only counted.
-    A probe whose e^{+-2 theta} overflows raises InvalidStateError before
-    the iterate is recorded, not just after it; only a non-finite iterate
-    cost in that same step would have raised first.  Returns the 2m probe
-    costs, +/- pairs adjacent; the blocks stay in ``work`` until the next
-    pass overwrites them.
-    """
-    thetas = work.write_rows(params)
+    objective.write_params(rows, thetas)
     ThetaMatrix(thetas[0])  # the iterate's checks, as every evaluation makes them
-    costs = _energies_from_blocks(taylor_blocks(thetas, work.taylor), objective.qubo)
-    objective._record(params, float(costs[0]))
+    costs = _energies_from_blocks(covariance_blocks(thetas, work), objective.qubo)
+    objective._record(rows[0], float(costs[0]))
     objective.n_evals += costs.size - 1
     if not np.all(np.isfinite(costs)):
         raise TrainingFailedError("non-finite training cost", trace=objective.trace)
@@ -448,27 +426,34 @@ def _adam_pass(objective, params, work):
 def _run_adam(objective, x0):
     """ADAM on the analytic cost; gradients by central differences.
 
-    Each step makes one batched pass (:func:`_adam_pass`) over 2m + 1
-    rows: row 0 is the iterate, rows 2k + 1 and 2k + 2 its probes at
-    +FD_STEP and -FD_STEP in parameter k.  The rows and every Taylor
-    buffer live in one :class:`_AdamWorkspace`, allocated when the run
-    starts and dropped when it ends, so a step allocates no N x N
-    workspace of its own.  The iterate is one evaluation in ``n_evals``
-    and one trace entry; the 2m probes are counted against ``n_evals``
-    but not traced.
+    Each step makes one batched pass (:func:`_adam_pass`) over the 2m + 1
+    rows ``params + offsets``.  ``offsets`` is a constant (2m + 1, m)
+    matrix: row 0 is zero, so row 0 of the sum is the iterate itself
+    (x + 0.0 = x), and rows 2k + 1 and 2k + 2 hold +FD_STEP and -FD_STEP
+    in column k, the probes of parameter k (x + (-h) = x - h).  The stack
+    of 2m + 1 thetas, which starts as copies of the initial theta, and
+    the :class:`TaylorWorkspace` are allocated when the run starts and
+    reused by every step, so a step allocates no N x N buffer of its own.
+    The iterate is one evaluation in ``n_evals`` and one trace entry; the
+    2m probes are counted against ``n_evals`` but not traced.
     """
     cfg = objective.cfg
     params = np.array(x0)
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    work = _AdamWorkspace(objective)
+    k = np.arange(params.size)
+    offsets = np.zeros((2 * k.size + 1, k.size))
+    offsets[2 * k + 1, k] = FD_STEP
+    offsets[2 * k + 2, k] = -FD_STEP
+    thetas = np.repeat(objective.theta_init[np.newaxis], len(offsets), axis=0)
+    work = TaylorWorkspace(len(offsets), objective.n)
     for step in range(1, cfg.adam_steps + 1):
         try:
             objective._check_budget()
         except _EvalBudget:
             break
-        costs = _adam_pass(objective, params, work)
+        costs = _adam_pass(objective, params + offsets, thetas, work)
         grad = (costs[0::2] - costs[1::2]) / (2.0 * FD_STEP)
         m = beta1 * m + (1.0 - beta1) * grad
         v = beta2 * v + (1.0 - beta2) * grad**2

@@ -14,12 +14,12 @@ constraints; that sufficiency is covered by tests.
 
 import itertools
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .errors import CapacityError, GenerationError
-from .gaussian import _frozen_array
+from .gaussian import _frozen_array, _is_number
 from .torontonian import BRUTE_FORCE_CAP, index_to_pattern
 
 __all__ = [
@@ -360,13 +360,6 @@ def dump_instance(instance):
     )
 
 
-def _is_number(value, kind=Integral):
-    """True for a number of ``kind`` that is not a bool: by default an integer,
-    as the counts, seeds and indices of plans and instance files must be;
-    with ``kind=Real``, as an instance file's weights and transfer entries."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 def load_instance(text):
     """Parse instance JSON text produced by :func:`dump_instance`."""
     import json
@@ -398,13 +391,18 @@ def load_instance(text):
         isinstance(row, list) and all(_is_number(v, Real) for v in row) for row in transfer
     ):
         raise ValueError("malformed instance: transfer_matrix is not a list of rows of numbers")
+    try:  # an integer too large for a float
+        transfer = np.array(transfer, dtype=float)
+        lambda_one, lambda_not = float(data["lambda_one"]), float(data["lambda_not"])
+    except OverflowError as exc:
+        raise ValueError(f"malformed instance: a weight or transfer entry: {exc}") from exc
     return FgaInstance(
         n_flights=data["n_flights"],
         n_gates=data["n_gates"],
-        transfer=np.array(transfer, dtype=float),
+        transfer=transfer,
         forbidden_pairs=tuple(tuple(pair) for pair in pairs),
-        lambda_one=float(data["lambda_one"]),
-        lambda_not=float(data["lambda_not"]),
+        lambda_one=lambda_one,
+        lambda_not=lambda_not,
         seed=data["seed"],
     )
 

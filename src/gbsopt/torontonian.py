@@ -43,14 +43,13 @@ outcome of mode i (index = sum_i d_i * 2^i); every 0/1 row is built by
 """
 
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, InvalidStateError
-from .gaussian import GaussianState
+from .gaussian import GaussianState, _is_number
 
 __all__ = [
     "vacuum_marginal",
@@ -247,7 +246,7 @@ def vacuum_marginal(state, modes):
 
 def _checked_modes(modes):
     modes = list(modes)
-    bad = [m for m in modes if isinstance(m, bool) or not isinstance(m, numbers.Integral)]
+    bad = [m for m in modes if not _is_number(m)]
     if bad:
         raise ValueError(f"mode indices must be integers, got {bad[0]!r}")
     modes = np.asarray(sorted(set(int(m) for m in modes)), dtype=int)
@@ -356,7 +355,7 @@ def sample(state: GaussianState, k, seed):
     Deterministic for a given seed; returns a (k, N) 0/1 array, one
     pattern per row.  Above the one mode cap raises CapacityError.
     """
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+    if not _is_number(k) or k < 1:
         raise ValueError(f"sample count must be an integer >= 1, got {k!r}")
     if seed is None:
         raise ValueError("an explicit seed is required")

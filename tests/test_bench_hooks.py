@@ -1,10 +1,11 @@
 """The names the benchmarks reach into gbsopt through still exist.
 
 ``sweepbench/spans.py`` rebinds the attributes listed in ``TRACED``,
-``sweepbench/run.py`` calls a few public entry points and
-``tools/microbench.py`` times private hooks of ``optim``; a renamed hook
-would otherwise show only when a benchmark run crashes.  These files are
-read here, never edited.
+``sweepbench/run.py`` calls a few public entry points and builds a plan
+from each of its ``WORKLOADS``, and ``tools/microbench.py`` times private
+hooks of ``optim``; a renamed hook or train override would otherwise show
+only when a benchmark run crashes.  These files are read here, never
+edited.
 """
 
 import ast
@@ -48,6 +49,14 @@ def run_entry_points():
     return sorted(found)
 
 
+def bench_workloads():
+    """The ``WORKLOADS`` literal of run.py: a plan spec per workload name."""
+    for node in ast.parse((SWEEPBENCH / "run.py").read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "WORKLOADS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("run.py defines no WORKLOADS")
+
+
 def microbench_names():
     """Dotted paths below gbsopt that microbench.py reaches: the names it
     imports from gbsopt, its ``optim.*`` attributes and the ``owner,
@@ -88,3 +97,14 @@ def test_microbench_names_resolve():
     } <= set(paths)
     for path in paths:
         resolve(path)
+
+
+@pytest.mark.parametrize("name", sorted(bench_workloads()))
+def test_bench_workload_plans_resolve(name):
+    # as run.py builds them, with every run's config resolved for its size
+    spec = bench_workloads()[name]
+    plan = gbsopt.harness.ExperimentPlan.from_dict(dict(spec, base_seed=7))
+    for f, g in plan.sizes:
+        for alpha in plan.alphas:
+            cfg = plan.train_config(alpha, seed=0).resolved(f * g)
+            assert {key: getattr(cfg, key) for key in spec["train"]} == spec["train"]

@@ -316,7 +316,8 @@ class TestTrain:
         positions = rng.permutation(np.concatenate([diagonal, others]))
         mask = ParameterMask(indices=tuple(zip(rows[positions], cols[positions])))
         upper = rng.uniform(-INIT_SCALE, INIT_SCALE, rows.size)
-        objective = optim._Objective(random_qubo(rng, n), TrainConfig(seed=1).resolved(n),
+        objective = optim._Objective(random_qubo(rng, n),
+                                     TrainConfig(seed=1, adam_steps=3).resolved(n),
                                      ThetaMatrix.from_upper(n, upper), mask)
         return objective, upper, positions, rng
 
@@ -339,27 +340,37 @@ class TestTrain:
             assert np.array_equal(objective.theta_init, initial)
 
     @pytest.mark.parametrize("n", [6, 16])
-    def test_adam_rows_written_in_place_equal_the_reference_thetas(self, n):
+    def test_adam_rows_written_in_place_equal_the_reference_thetas(self, monkeypatch, n):
         # the iterate and its +/-FD_STEP probes, written into the run's one
-        # buffer step after step, are bit for bit the thetas assembled by
-        # ThetaMatrix.from_upper from each row's parameters
+        # stack of thetas step after step, are bit for bit the thetas
+        # assembled by ThetaMatrix.from_upper from each row's parameters
         objective, upper, positions, rng = self._theta_owner_case(n)
-        work = optim._AdamWorkspace(objective)
+        real, stacks = optim._adam_pass, []
         dim = positions.size
         k = np.arange(dim)
-        for scale in (INIT_SCALE, 2.0, 0.5):
-            params = rng.uniform(-scale, scale, dim)
-            stack = np.repeat(params[np.newaxis], 2 * dim + 1, axis=0)
+
+        def checked(objective, rows, thetas, work):
+            stack = np.repeat(rows[:1], 2 * dim + 1, axis=0)
             stack[2 * k + 1, k] += FD_STEP
             stack[2 * k + 2, k] -= FD_STEP
-            rows = work.write_rows(params)
-            for row, row_params in zip(rows, stack):
+            assert np.array_equal(rows, stack)
+            costs = real(objective, rows, thetas, work)
+            for row, row_params in zip(thetas, stack):
                 assert np.array_equal(row, self._reference_theta(n, upper, positions, row_params))
+            stacks.append(thetas)
+            return costs
+
+        monkeypatch.setattr(optim, "_adam_pass", checked)
+        for scale in (INIT_SCALE, 2.0, 0.5):
+            stacks.clear()
+            optim._run_adam(objective, rng.uniform(-scale, scale, dim))
+            assert len(stacks) == objective.cfg.adam_steps
+            assert all(thetas is stacks[0] for thetas in stacks)
 
     def test_adam_steps_allocate_no_taylor_workspace(self, monkeypatch):
-        # after step 1, steps 2 to 10 at N = 16 traced a 0.54 MiB peak (the
-        # closed-form <Q> of 97 rows), where a fresh (97, 7, 16, 16) Taylor
-        # workspace per step alone is 1.33 MiB
+        # after step 1, steps 2 to 10 at N = 16 traced a 0.58 MiB peak (the
+        # closed-form <Q> of 97 rows and their 97 x 48 parameters), where a
+        # fresh (97, 7, 16, 16) Taylor workspace per step alone is 1.33 MiB
         bound = 0.8 * 2**20
         qubo = assemble_qubo(generate_instance(4, 4, seed=3))
         fresh = 7 * (2 * MASK_PER_MODE * qubo.n + 1) * qubo.n**2 * 8

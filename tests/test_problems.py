@@ -311,6 +311,16 @@ class TestInstanceFiles:
         with pytest.raises(ValueError, match=re.escape(f"malformed instance: {named}")):
             load_instance(json.dumps({**data, key: value}))
 
+    @pytest.mark.parametrize("key, value", [
+        ("lambda_one", 10**400),
+        ("transfer_matrix", [[0, 10**400], [10**400, 0]]),
+    ], ids=["lambda_one", "transfer_matrix"])
+    def test_refuses_an_integer_too_large_for_a_float(self, key, value):
+        # a ValueError, which the CLI maps to exit 2, not an OverflowError
+        data = json.loads(dump_instance(generate_instance(1, 2, seed=1)))
+        with pytest.raises(ValueError, match="malformed instance: a weight or transfer entry"):
+            load_instance(json.dumps({**data, key: value}))
+
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="symmetric"):
             FgaInstance(
