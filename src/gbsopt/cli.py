@@ -179,7 +179,7 @@ def cmd_experiment(args):
 
 def cmd_verify(args):
     n_rows = verify_report(args.out)
-    print(f"report verified: {n_rows} aggregate rows match the run records")
+    print(f"report verified: all four report files match the run records ({n_rows} rows)")
     return EXIT_OK
 
 
@@ -245,7 +245,7 @@ def build_parser():
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.set_defaults(func=cmd_experiment)
 
-    p_ver = sub.add_parser("verify", help="recompute a report from its run records")
+    p_ver = sub.add_parser("verify", help="check every report file against its run records")
     p_ver.add_argument("out", help="experiment output directory")
     p_ver.set_defaults(func=cmd_verify)
 

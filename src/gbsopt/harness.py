@@ -12,14 +12,17 @@ A run's whole config is ``TrainConfig(seed, alpha, **plan.train,
 thresholds=plan.thresholds)`` resolved for its size, so every default
 comes from ``TrainConfig``, as for ``gbsopt train``.
 
-Report files:
+Report files, rendered by ``_report_texts`` for the sweep and for
+``verify_report`` alike; each CSV's columns are its rows' keys:
 
-* ``report.csv``    - N, alpha, threshold, success_fraction, n_instances
+* ``report.csv``    - N, alpha, threshold, success_fraction, n_instances;
+  byte-stable for a plan, where the others carry wall times
 * ``runs.csv``      - one row per training run, read once from its record
   by ``_run_row``; the sweep, resumption and ``verify_report`` share it
 * ``instances.csv`` - per (instance, alpha): best fidelity over restarts,
   success flags, evaluations used, wall time
-* ``report.json``   - the same content plus the fully resolved plan
+* ``report.json``   - the same content plus the fully resolved plan, and a
+  ``metadata`` timestamp, which verification takes as stored
 
 An instance counts as successful for (alpha, t) when any of its restarts
 without an error reaches fidelity > t.
@@ -33,7 +36,6 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
-from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +73,6 @@ __all__ = [
 
 RECORD_FORMAT_VERSION = 2
 REPORT_FORMAT_VERSION = 2
-REPORT_COLUMNS = ["n_modes", "alpha", "threshold", "success_fraction", "n_instances"]
 #: the first columns of runs.csv, read from a record's run block
 RUN_KEYS = ["n_modes", "n_flights", "n_gates", "instance_id", "alpha", "restart"]
 
@@ -478,18 +479,17 @@ def build_report(plan, run_rows):
     for (n_modes, instance_id, alpha), runs in sorted(by_instance.items()):
         # a run with an error (a timeout included) counts as fidelity 0
         clean = [r for r in runs if not r["error"]]
-        row = {
+        instance_rows.append({
             "n_modes": n_modes,
             "instance_id": instance_id,
             "alpha": alpha,
             "best_fidelity": max((r["final_fidelity"] for r in clean), default=0.0),
+            **{f"success_{t:g}": any(r[f"success_{t:g}"] for r in clean)
+               for t in plan.thresholds},
             "n_evals": sum(r["n_evals"] for r in runs),
             "wall_time_s": sum(r["wall_time_s"] for r in runs),
             "n_errors": len(runs) - len(clean),
-        }
-        for t in plan.thresholds:
-            row[f"success_{t:g}"] = any(r[f"success_{t:g}"] for r in clean)
-        instance_rows.append(row)
+        })
 
     rows = []
     sizes_n = sorted({f * g for f, g in plan.sizes})
@@ -521,23 +521,17 @@ def build_report(plan, run_rows):
     )
 
 
-def _csv_text(fieldnames, rows):
+def _csv_text(rows):
+    """CSV text of ``rows``, whose keys, in order, are the columns."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
 
 
-def write_report(report, out_dir):
-    out_dir = Path(out_dir)
-    _atomic_write(out_dir / "report.csv", _csv_text(REPORT_COLUMNS, report.rows))
-    threshold_cols = [f"success_{t:g}" for t in report.plan.thresholds]
-    instance_cols = (["n_modes", "instance_id", "alpha", "best_fidelity"] + threshold_cols
-                     + ["n_evals", "wall_time_s", "n_errors"])
-    _atomic_write(out_dir / "instances.csv", _csv_text(instance_cols, report.instance_rows))
-    run_cols = RUN_KEYS + ["final_fidelity"] + threshold_cols + ["n_evals", "wall_time_s", "error"]
-    _atomic_write(out_dir / "runs.csv", _csv_text(run_cols, report.run_rows))
+def _report_texts(report, metadata):
+    """{file name: text} of each report file; ``metadata`` ends report.json."""
     payload = {
         "format_version": REPORT_FORMAT_VERSION,
         "kind": "success_report",
@@ -545,25 +539,36 @@ def write_report(report, out_dir):
         "rows": list(report.rows),
         "instance_rows": list(report.instance_rows),
         "n_errors": report.n_errors,
-        "metadata": {"timestamp": datetime.now(timezone.utc).isoformat()},
+        "metadata": metadata,
     }
-    _atomic_write(out_dir / "report.json", json.dumps(payload, indent=1) + "\n")
+    return {
+        "report.csv": _csv_text(report.rows),
+        "instances.csv": _csv_text(report.instance_rows),
+        "runs.csv": _csv_text(report.run_rows),
+        "report.json": json.dumps(payload, indent=1) + "\n",
+    }
+
+
+def write_report(report, out_dir):
+    metadata = {"timestamp": datetime.now(timezone.utc).isoformat()}
+    for name, text in _report_texts(report, metadata).items():
+        _atomic_write(Path(out_dir) / name, text)
 
 
 def verify_report(out_dir):
-    """Recompute report.csv from the run records and compare the text.
+    """Rebuild every report file from the run records and compare the text.
 
     The record files under ``runs/`` must be exactly those the plan in
-    ``report.json`` names.  Returns the number of verified aggregate
-    rows; raises GbsOptError on any mismatch.  This keeps the report a
-    pure function of the records.
+    ``report.json`` names, and each report file must match, line for line,
+    its rendering with the stored ``report.json``'s ``metadata``.  Returns
+    the number of verified aggregate rows; raises GbsOptError on any
+    mismatch, and OSError on a missing file.
     """
     out_dir = Path(out_dir)
     report_path = out_dir / "report.json"
-    if not report_path.exists():
-        raise GbsOptError(f"no report.json under {out_dir}")
     try:
-        plan = json.loads(report_path.read_text())["plan"]
+        stored = json.loads(report_path.read_text())
+        plan, metadata = stored["plan"], stored["metadata"]
     except (ValueError, KeyError, TypeError) as exc:
         raise GbsOptError(f"unreadable {report_path}: {type(exc).__name__}: {exc}") from exc
     plan = ExperimentPlan.from_dict(plan)
@@ -577,8 +582,9 @@ def verify_report(out_dir):
         )
     rows = [_read_record(runs_dir / name, plan.thresholds)[1] for name in sorted(expected)]
     rebuilt = build_report(plan, rows)
-    stored = (out_dir / "report.csv").read_text().splitlines()
-    for got, want in zip_longest(stored, _csv_text(REPORT_COLUMNS, rebuilt.rows).splitlines()):
-        if got != want:
-            raise GbsOptError(f"report.csv mismatch: stored {got!r}, recomputed {want!r}")
+    for name, text in _report_texts(rebuilt, metadata).items():
+        got, want = (out_dir / name).read_text().splitlines(), text.splitlines()
+        for line, (a, b) in enumerate(zip(got + [None], want + [None]), 1):
+            if a != b:
+                raise GbsOptError(f"{name} mismatch at line {line}: stored {a!r}, rebuilt {b!r}")
     return len(rebuilt.rows)

@@ -67,6 +67,9 @@ class FgaInstance:
     seed: int
 
     def __post_init__(self):
+        for name in ("n_flights", "n_gates"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be at least 1")
         n = self.n_flights * self.n_gates
         transfer = np.asarray(self.transfer, dtype=float)
         if transfer.shape != (n, n):

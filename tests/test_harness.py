@@ -1,7 +1,10 @@
 """Tests for the experiment harness and the command-line interface."""
 
+import csv
+import io
 import json
 import os
+import re
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -238,6 +241,41 @@ class TestRunExperiment:
         with pytest.raises(GbsOptError, match=f"{record_path.name}: KeyError: 'result'"):
             verify_report(tmp_path)
 
+    @pytest.mark.parametrize("name, column", [
+        ("runs.csv", "n_evals"),
+        ("instances.csv", "best_fidelity"),
+        ("report.json", "success_fraction"),
+    ])
+    def test_verify_checks_every_report_file(self, tmp_path, name, column):
+        run_experiment(ExperimentPlan.from_dict(TINY_PLAN), tmp_path, workers=1)
+        path = tmp_path / name
+        if name == "report.json":
+            payload = json.loads(path.read_text())
+            payload["rows"][0][column] = 0.25
+            path.write_text(json.dumps(payload, indent=1) + "\n")
+        else:
+            rows = list(csv.reader(io.StringIO(path.read_text())))
+            rows[1][rows[0].index(column)] = "0.25"
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(rows)
+            path.write_text(buf.getvalue())
+        with pytest.raises(GbsOptError, match=f"{re.escape(name)} mismatch at line"):
+            verify_report(tmp_path)
+
+    def test_verify_takes_report_metadata_as_stored(self, tmp_path):
+        # metadata is not derived from the records, so any metadata verifies
+        run_experiment(ExperimentPlan.from_dict(TINY_PLAN), tmp_path, workers=1)
+        path = tmp_path / "report.json"
+        payload = json.loads(path.read_text())
+        payload["metadata"] = {"timestamp": "1970-01-01T00:00:00+00:00", "note": "moved"}
+        path.write_text(json.dumps(payload, indent=1) + "\n")
+        assert verify_report(tmp_path) == 1
+        # a missing report file is an OSError naming it, which the CLI maps to exit 2
+        (tmp_path / "runs.csv").unlink()
+        with pytest.raises(FileNotFoundError, match="runs.csv"):
+            verify_report(tmp_path)
+        assert main(["verify", str(tmp_path)]) == 2
+
     def test_verify_checks_the_record_set(self, tmp_path):
         run_experiment(ExperimentPlan.from_dict(TINY_PLAN), tmp_path, workers=1)
         runs = tmp_path / "runs"
@@ -382,6 +420,9 @@ class TestCli:
             (json.dumps({**good, "seed": None}), "malformed instance"),
             (json.dumps({**good, "n_flights": 2.7}), "n_flights = 2.7 is not an integer"),
             (json.dumps({**good, "n_gates": True}), "n_gates = True is not an integer"),
+            (json.dumps({**good, "n_flights": -1, "n_gates": -2}),
+             "n_flights = -1 must be at least 1"),
+            (json.dumps({**good, "n_gates": 0}), "n_gates = 0 must be at least 1"),
             (json.dumps({**good, "seed": 5.9}), "seed = 5.9 is not an integer"),
             (json.dumps({**good, "forbidden_pairs": [[0.5, 1]]}),
              "forbidden_pairs = [[0.5, 1]] is not a list of integer pairs"),

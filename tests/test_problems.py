@@ -321,6 +321,23 @@ class TestInstanceFiles:
         with pytest.raises(ValueError, match="malformed instance: a weight or transfer entry"):
             load_instance(json.dumps({**data, key: value}))
 
+    @pytest.mark.parametrize("counts, named", [
+        ((-2, -3), "n_flights = -2 must be at least 1"),
+        ((2, -3), "n_gates = -3 must be at least 1"),
+    ], ids=["n_flights", "n_gates"])
+    def test_refuses_counts_below_one(self, counts, named):
+        # (-2, -3) spans six modes, as its transfer matrix does; without the
+        # check it loads and assembles with no one-hot penalty at all
+        n_flights, n_gates = counts
+        data = json.loads(dump_instance(generate_instance(2, 3, seed=1)))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            load_instance(json.dumps({**data, "n_flights": n_flights, "n_gates": n_gates}))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            FgaInstance(
+                n_flights=n_flights, n_gates=n_gates, transfer=np.zeros((6, 6)),
+                forbidden_pairs=(), lambda_one=1.0, lambda_not=1.0, seed=0,
+            )
+
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="symmetric"):
             FgaInstance(

@@ -18,7 +18,11 @@ from gbsopt import (
     CapacityError,
     InvalidStateError,
     ThetaMatrix,
+    assemble_qubo,
+    expected_energy_analytic,
+    expected_energy_exact,
     full_distribution,
+    generate_instance,
     pattern_probability,
     sample,
     state_from_theta,
@@ -479,6 +483,72 @@ class TestFullDistribution:
         for pattern, named in NOT_ZERO_ONE:
             with pytest.raises(ValueError, match=named):
                 dist.probability(pattern)
+
+
+def oracle_probability(sigma, clicks):
+    """P(exactly the modes ``clicks`` click) = Tor(O_S) / sqrt(det Sigma), from
+    ``tests/oracles.py`` alone: no code of the kernel."""
+    n = sigma.shape[0] // 2
+    ix = list(clicks) + [m + n for m in clicks]
+    return torontonian(o_matrix(sigma)[np.ix_(ix, ix)]) / np.sqrt(np.linalg.det(sigma))
+
+
+@pytest.fixture(scope="module", params=[0.5, 2.0, 4.0], ids=lambda r: f"radius {r:g}")
+def law_at_cap(request):
+    """(theta, state, law) of one seeded 20-mode theta at spectral radius
+    ``request.param``, shared by the tests of TestLawAtTheModeCap."""
+    rng = np.random.default_rng(2020)
+    theta = bounded_random_theta(rng, 20, spectral_radius=1.0)
+    theta *= request.param / np.abs(np.linalg.eigvalsh(theta)).max()
+    state = state_from_theta(ThetaMatrix(theta))
+    return theta, state, full_distribution(state)
+
+
+class TestLawAtTheModeCap:
+    """The law at N = 20 against checks that share no code with its kernel.
+
+    A pattern with k clicks reads f(W) for |W| from 20 - k to 20, so the
+    entries cover every level from 9 up; a marginal on 8 modes reads f(W)
+    for |W| <= 8, but each of its entries sums the transform over all 20
+    bits.  A replacement kernel must pass these tests unmodified.
+    """
+
+    def test_entries_against_the_torontonian_oracle(self, law_at_cap):
+        theta, _, law = law_at_cap
+        sigma = husimi_sigma(theta)
+        rng = np.random.default_rng(20)
+        counts = [*range(12), *rng.integers(0, 12, 25), 11, 11, 11]
+        for k in counts:
+            clicks = np.sort(rng.choice(20, size=k, replace=False))
+            index = int(sum(1 << int(m) for m in clicks))
+            assert law.probs[index] == pytest.approx(oracle_probability(sigma, clicks),
+                                                     rel=0, abs=1e-13)
+
+    def test_marginal_against_the_reduced_state(self, law_at_cap):
+        # the reduced state of a Gaussian state keeps its block of the
+        # covariance (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012))
+        theta, _, law = law_at_cap
+        modes = np.sort(np.random.default_rng(8).choice(20, size=8, replace=False))
+        index = np.arange(law.probs.size)
+        sub = sum(((index >> int(m)) & 1) << j for j, m in enumerate(modes))
+        marginal = np.bincount(sub, weights=law.probs, minlength=1 << 8)
+        sigma = husimi_sigma(theta)
+        ix = np.concatenate([modes, modes + 20])
+        reduced = sigma[np.ix_(ix, ix)]
+        for z in range(1 << 8):
+            clicks = [j for j in range(8) if (z >> j) & 1]
+            assert marginal[z] == pytest.approx(oracle_probability(reduced, clicks),
+                                                rel=0, abs=1e-12)
+
+    def test_mean_energy_against_the_closed_form(self, law_at_cap):
+        # the clip of negative roundoff in full_distribution, not the
+        # kernel, sets this bound: at radius 0.5 it moves <Q> by 4.8e-11
+        # relative here (154 entries, -2.8e-12 of mass), and by 5.5e-10 for
+        # another seeded theta, while the unclipped table agrees to 4.4e-15
+        _, state, law = law_at_cap
+        qubo = assemble_qubo(generate_instance(4, 5, seed=45))
+        assert expected_energy_exact(qubo, law) == pytest.approx(
+            expected_energy_analytic(qubo, state), rel=1e-9, abs=0)
 
 
 @settings(max_examples=25, deadline=None)
