@@ -223,8 +223,8 @@ def build_mask(qubo, mask_size):
 def cvar_from_samples(energies, alpha):
     """Mean of the ceil(alpha K) lowest values; alpha = 1 is the plain mean."""
     energies = np.asarray(energies, dtype=float)
-    if energies.ndim != 1 or energies.size == 0:
-        raise ValueError("need a nonempty 1-D energy list")
+    if energies.ndim != 1 or energies.size == 0 or np.isnan(energies).any():
+        raise ValueError("need a nonempty 1-D energy list without NaN")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     m = math.ceil(alpha * energies.size)

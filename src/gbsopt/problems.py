@@ -12,6 +12,7 @@ sized from the transfer scale so that optima always satisfy both
 constraints; that sufficiency is covered by tests.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from numbers import Real
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import CapacityError, GenerationError
 from .gaussian import _frozen_array, _is_number
-from .torontonian import BRUTE_FORCE_CAP, index_to_pattern
+from .torontonian import BRUTE_FORCE_CAP, index_to_pattern, pattern_index
 
 __all__ = [
     "FgaInstance",
@@ -104,7 +105,7 @@ class FgaInstance:
 
 @dataclass(frozen=True)
 class QuboProblem:
-    """value(x) = x^T q x + offset over x in {0,1}^N, q symmetric."""
+    """Energy x^T q x + offset over x in {0,1}^N, q symmetric."""
 
     q: np.ndarray
     offset: float = 0.0
@@ -121,56 +122,51 @@ class QuboProblem:
     def n(self):
         return self.q.shape[0]
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(x @ self.q @ x + self.offset)
-
     def values(self, patterns):
-        """Energies of a (M, N) batch of 0/1 rows."""
-        x = np.asarray(patterns, dtype=float)
-        return np.einsum("mi,ij,mj->m", x, self.q, x) + self.offset
+        """Energies of one 0/1 row of N entries or of a (..., N) batch: the
+        entries of :meth:`pattern_energies` at their ``pattern_index``, so
+        another length or an entry not 0 or 1 raises ValueError."""
+        if np.shape(patterns)[-1:] != (self.n,):
+            raise ValueError(f"patterns {np.shape(patterns)} are not rows of {self.n} bits")
+        return self._energies[pattern_index(patterns)]  # the cache, not a pattern_energies() call
 
     def pattern_energies(self):
         """Energies of all 2^N patterns in index order (bit i = mode i).
 
-        Computed once per problem and returned as a read-only array.  The
-        table is built in place: each q_ij, with i the outer and j the
-        inner loop, is added to the sub-cube of patterns with bits i and j
-        set, a strided view of the one 2^N table, and the offset is added
-        last.  That is the order in which the row-wise einsum of
-        :meth:`values` sums x_i q_ij x_j, and its zero terms change no
-        sum, so every entry is bit for bit that of :meth:`values`.  No
-        0/1 rows are built: under ``tracemalloc`` the build peaks at
-        0.63 MiB at N = 16 and 8.2 MiB at N = 20, of which the table is
-        0.5 and 8 MiB.  Raises CapacityError above ``BRUTE_FORCE_CAP``
-        (20) variables.
+        The one source of every pattern energy, computed once per problem
+        and returned as a read-only array.  The table is built in place:
+        each q_ij, with i the outer and j the inner loop, is added to the
+        sub-cube of patterns with bits i and j set, a strided view of the
+        one 2^N table, and the offset last, so no 0/1 rows are built.
+        Raises CapacityError above ``BRUTE_FORCE_CAP`` (20) variables.
         """
-        energies = self.__dict__.get("_pattern_energies")
-        if energies is None:
-            n = self.n
-            if n > BRUTE_FORCE_CAP:
-                raise CapacityError(
-                    f"{n} variables exceed the brute-force cap {BRUTE_FORCE_CAP}"
-                )
-            energies = np.zeros(1 << n)
-            # axis n - 1 - i of the (2,) * n view is bit i of the index
-            cube = energies.reshape((2,) * n)
-            for i in range(n):
-                for j in range(n):
-                    where = [slice(None)] * n
-                    where[n - 1 - i] = where[n - 1 - j] = 1
-                    cube[tuple(where)] += self.q[i, j]
-            energies += self.offset
-            energies.setflags(write=False)  # frozen in place: a copy would double the peak
-            object.__setattr__(self, "_pattern_energies", energies)
+        return self._energies
+
+    @functools.cached_property
+    def _energies(self):
+        n = self.n
+        if n > BRUTE_FORCE_CAP:
+            raise CapacityError(f"{n} variables exceed the brute-force cap {BRUTE_FORCE_CAP}")
+        energies = np.zeros(1 << n)
+        # axis n - 1 - i of the (2,) * n view is bit i of the index
+        cube = energies.reshape((2,) * n)
+        for i in range(n):
+            for j in range(n):
+                where = [slice(None)] * n
+                where[n - 1 - i] = where[n - 1 - j] = 1
+                cube[tuple(where)] += self.q[i, j]
+        energies += self.offset
+        energies.setflags(write=False)  # frozen in place: a copy would double the peak
         return energies
 
     def energy_order(self):
         """Stable argsort of :meth:`pattern_energies`, computed once per problem."""
-        order = self.__dict__.get("_energy_order")
-        if order is None:
-            order = _frozen_array(np.argsort(self.pattern_energies(), kind="stable"))
-            object.__setattr__(self, "_energy_order", order)
+        return self._energy_order
+
+    @functools.cached_property
+    def _energy_order(self):
+        order = np.argsort(self._energies, kind="stable")
+        order.setflags(write=False)  # in place: a copy would double the peak
         return order
 
 

@@ -37,9 +37,9 @@ every smaller k reading their leading rows (9 MiB at k = 19, the
 sampler's last mode at 20 modes).  For all four callers,
 :func:`_dark_law` refuses more than ``BRUTE_FORCE_CAP`` (20) modes.
 
-Pattern indexing convention: bit i of an integer pattern index is the
-outcome of mode i (index = sum_i d_i * 2^i); every 0/1 row is built by
-:func:`index_to_pattern`.
+Pattern indexing convention: bit i of a pattern index is the outcome of
+mode i (index = sum_i d_i * 2^i); :func:`index_to_pattern` builds every 0/1
+row, and :func:`pattern_index` reads each back, checking its entries.
 """
 
 import math
@@ -76,9 +76,16 @@ NORMALIZATION_TOL = 1e-9
 BATCH_BYTES = 1 << 20
 
 
-def pattern_index(pattern):
-    """Integer index of a click pattern (bit i = mode i)."""
-    return sum(1 << int(i) for i in np.flatnonzero(pattern))
+def pattern_index(patterns):
+    """int64 index (bit i = mode i) of one 0/1 row or of each of a (..., N)
+    batch: the inverse of :func:`index_to_pattern`, and the one check that
+    entries are 0 or 1 (ValueError)."""
+    patterns = np.asarray(patterns)
+    ones = patterns == 1
+    bad = patterns[~ones & (patterns != 0)]
+    if bad.size:
+        raise ValueError(f"pattern entries must be 0 or 1, got {sorted(set(bad.tolist()))}")
+    return ones @ (1 << np.arange(patterns.shape[-1], dtype=np.int64))
 
 
 def index_to_pattern(index, n_modes):
@@ -94,14 +101,10 @@ def all_patterns(n_modes):
     return index_to_pattern(np.arange(1 << n_modes), n_modes)
 
 
-def _checked_pattern(pattern, n_modes):
-    pattern = np.asarray(pattern)
-    if pattern.shape != (n_modes,):
-        raise ValueError(f"pattern length {pattern.shape} does not match {n_modes} modes")
-    bad = pattern[(pattern != 0) & (pattern != 1)]
-    if bad.size:
-        raise ValueError(f"pattern entries must be 0 or 1, got {sorted(set(bad.tolist()))}")
-    return pattern
+def _checked_index(pattern, n_modes):
+    if np.shape(pattern) != (n_modes,):
+        raise ValueError(f"pattern length {np.shape(pattern)} does not match {n_modes} modes")
+    return pattern_index(pattern)
 
 
 class _SubsetLevels:
@@ -263,12 +266,12 @@ def _clamped(probs, what):
 
 
 def pattern_probability(state: GaussianState, pattern):
-    """Exact probability of one click pattern.
+    """Exact probability of one click pattern (N entries, each 0 or 1).
 
     A pattern with k clicks costs 2^k subset determinants, of sizes N - k
     to N; the all-zeros pattern costs one.
     """
-    pattern = _checked_pattern(pattern, state.n_modes)
+    pattern = index_to_pattern(_checked_index(pattern, state.n_modes), state.n_modes)
     law = _dark_law(state, np.flatnonzero(pattern == 0), np.flatnonzero(pattern))
     return float(_clamped(law[:1], "pattern probability")[0])
 
@@ -289,7 +292,7 @@ class PatternDistribution:
         object.__setattr__(self, "probs", probs)
 
     def probability(self, pattern):
-        return float(self.probs[pattern_index(_checked_pattern(pattern, self.n_modes))])
+        return float(self.probs[_checked_index(pattern, self.n_modes)])
 
 
 def full_distribution(state: GaussianState):

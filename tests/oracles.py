@@ -2,11 +2,12 @@
 
 Nothing here uses the package: the Fock oracle expands the squeezed state
 in the photon number basis, the QUBO helpers re-derive energies from the
-raw objective, and the second enumerator is a deliberately naive
-re-implementation.  The covariance references work on the 2N x 2N Husimi
-covariance, not on the package's real N x N blocks: subset determinants
-one LU determinant at a time, the Torontonian of O = I - inv(Sigma), and
-the mpmath reference, which redoes the whole probability law at 40 digits.
+raw objective, from loops or from one row-wise einsum, and the second
+enumerator is a deliberately naive re-implementation.  The covariance
+references work on the 2N x 2N Husimi covariance, not on the package's
+real N x N blocks: subset determinants one LU determinant at a time, the
+Torontonian of O = I - inv(Sigma), and the mpmath reference, which redoes
+the whole probability law at 40 digits.
 A second mpmath reference gives the real blocks P and Q themselves, and
 their one- and two-mode vacuum marginals, at 40 digits.
 The one exception is :func:`chain_rule_sample`, a shot-by-shot sampler on
@@ -107,6 +108,15 @@ def qubo_energy_by_loops(q, offset, x):
         for j in range(n):
             total += q[i][j] * x[i] * x[j]
     return total
+
+
+def qubo_energies_einsum(q, offset, rows):
+    """x^T q x + offset of each 0/1 row of a (M, N) batch, by one row-wise
+    einsum: x_i q_ij x_j summed with i the outer and j the inner index, the
+    order in which the package's energy table adds its terms, so the two
+    agree bit for bit."""
+    x = np.asarray(rows, dtype=float)
+    return np.einsum("mi,ij,mj->m", x, q, x) + offset
 
 
 def enumerate_minimizers(q, offset, n):

@@ -4,11 +4,14 @@
 ``sweepbench/run.py`` calls a few public entry points and builds a plan
 from each of its ``WORKLOADS``, and ``tools/microbench.py`` times private
 hooks of ``optim``; a renamed hook or train override would otherwise show
-only when a benchmark run crashes.  These files are read here, never
-edited.
+only when a benchmark run crashes.  Each workload's plan also runs here
+once, as one of run.py's rounds but untimed, so that an exception in a
+sweep, its resume or its verification shows in the tests first.  These
+files are read here, never edited.
 """
 
 import ast
+import json
 import importlib.util
 from pathlib import Path
 
@@ -108,3 +111,20 @@ def test_bench_workload_plans_resolve(name):
         for alpha in plan.alphas:
             cfg = plan.train_config(alpha, seed=0).resolved(f * g)
             assert {key: getattr(cfg, key) for key in spec["train"]} == spec["train"]
+
+
+@pytest.mark.parametrize("name", sorted(bench_workloads()))
+def test_bench_workload_sweeps_resumes_and_verifies(name, tmp_path):
+    # run.py's round at base seed 7: a fresh sweep, a resume pass that
+    # rewrites no record, then verify_report; no run may record an error
+    harness = gbsopt.harness
+    plan = harness.ExperimentPlan.from_dict(dict(bench_workloads()[name], base_seed=7))
+    harness.run_experiment(plan, tmp_path, workers=1)
+    records = sorted((tmp_path / "runs").glob("*.json"))
+    before = [(p.stat().st_mtime_ns, p.read_bytes()) for p in records]
+    harness.run_experiment(plan, tmp_path, workers=1)
+    assert sorted((tmp_path / "runs").glob("*.json")) == records
+    assert [(p.stat().st_mtime_ns, p.read_bytes()) for p in records] == before
+    assert harness.verify_report(tmp_path) > 0
+    errors = [json.loads(text)["result"]["error"] for _, text in before]
+    assert records and errors == [None] * len(records)

@@ -97,6 +97,12 @@ class TestCvarFromSamples:
         with pytest.raises(ValueError):
             cvar_from_samples([1.0], 0.0)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_rejects_nan_energies(self, alpha):
+        # np.partition sorts NaN last, so the tail [1.0] would hide it
+        with pytest.raises(ValueError, match="NaN"):
+            cvar_from_samples([np.nan, 1.0], alpha)
+
 
 class TestCvarExact:
     def test_point_mass(self):
@@ -105,7 +111,7 @@ class TestCvarExact:
         probs[1] = 1.0  # pattern (1, 0)
         dist = PatternDistribution(n_modes=2, probs=probs)
         for alpha in (0.05, 0.4, 1.0):
-            assert cvar_exact(qubo, dist, alpha) == pytest.approx(qubo.value([1, 0]))
+            assert cvar_exact(qubo, dist, alpha) == pytest.approx(qubo.values([1, 0]))
 
     def test_two_outcome_boundary_rules(self):
         # energies 0 and 10 with a fair coin

@@ -24,7 +24,12 @@ from gbsopt.problems import (
 )
 from gbsopt.torontonian import PatternDistribution, all_patterns, index_to_pattern
 
-from oracles import constraints_bind_by_loops, enumerate_minimizers, fga_objective_direct
+from oracles import (
+    constraints_bind_by_loops,
+    enumerate_minimizers,
+    fga_objective_direct,
+    qubo_energies_einsum,
+)
 
 
 def random_qubo(n, seed):
@@ -69,7 +74,7 @@ class TestGenerateInstance:
             grid = pattern.reshape(3, 3)
             if np.all(grid.sum(axis=1) == 1):
                 one_hots.append(pattern)
-        energies = [qubo_t_only.value(p) for p in one_hots]
+        energies = qubo_t_only.values(one_hots)
         best = min(energies)
         for pattern, energy in zip(one_hots, energies):
             if energy <= best + 1e-9 * max(1.0, abs(best)):
@@ -111,10 +116,10 @@ class TestAssembleQubo:
             forbidden_pairs=(), lambda_one=1.0, lambda_not=1.0, seed=0,
         )
         qubo = assemble_qubo(instance)
-        assert qubo.value([0, 0]) == pytest.approx(1.0)
-        assert qubo.value([1, 0]) == pytest.approx(0.0)
-        assert qubo.value([0, 1]) == pytest.approx(0.0)
-        assert qubo.value([1, 1]) == pytest.approx(1.0)
+        assert qubo.values([0, 0]) == pytest.approx(1.0)
+        assert qubo.values([1, 0]) == pytest.approx(0.0)
+        assert qubo.values([0, 1]) == pytest.approx(0.0)
+        assert qubo.values([1, 1]) == pytest.approx(1.0)
 
     def test_forbidden_pair_by_hand(self):
         instance = FgaInstance(
@@ -122,9 +127,9 @@ class TestAssembleQubo:
             forbidden_pairs=((0, 1),), lambda_one=0.0, lambda_not=1.0, seed=0,
         )
         qubo = assemble_qubo(instance)
-        assert qubo.value([1, 1]) == pytest.approx(1.0)
+        assert qubo.values([1, 1]) == pytest.approx(1.0)
         for x in ([0, 0], [1, 0], [0, 1]):
-            assert qubo.value(x) == pytest.approx(0.0)
+            assert qubo.values(x) == pytest.approx(0.0)
 
     def test_matches_direct_expression(self):
         rng = np.random.default_rng(14)
@@ -133,7 +138,7 @@ class TestAssembleQubo:
         scale = float(np.abs(qubo.q).sum() + abs(qubo.offset))
         for _ in range(100):
             x = rng.integers(0, 2, instance.n_modes)
-            assert qubo.value(x) == pytest.approx(
+            assert qubo.values(x) == pytest.approx(
                 fga_objective_direct(instance, x), abs=1e-12 * scale
             )
 
@@ -143,7 +148,7 @@ class TestAssembleQubo:
             qubo = assemble_qubo(instance)
             scale = float(np.abs(qubo.q).sum() + abs(qubo.offset))
             for x in all_patterns(instance.n_modes):
-                assert qubo.value(x) == pytest.approx(
+                assert qubo.values(x) == pytest.approx(
                     fga_objective_direct(instance, x), abs=1e-12 * scale
                 )
 
@@ -156,30 +161,50 @@ class TestQuboProblem:
         energies = qubo.pattern_energies()
         assert qubo.pattern_energies() is energies
         assert not energies.flags.writeable
-        assert np.array_equal(energies, qubo.values(all_patterns(6)))
+        assert np.array_equal(energies, qubo_energies_einsum(qubo.q, qubo.offset,
+                                                             all_patterns(6)))
 
+    # bit for bit: the sampled cost's energies are entries of this table,
+    # and these pins hold them to a plain row-wise einsum
     @pytest.mark.parametrize("n", [1, 4, 12, 13, 16])
     def test_blocked_energies_equal_one_whole_table_einsum(self, n):
-        # the in-place sub-cube sums keep einsum's order, so equality is exact
         qubo = random_qubo(n, seed=n)
-        x = all_patterns(n).astype(float)
-        whole = np.einsum("mi,ij,mj->m", x, qubo.q, x) + qubo.offset
-        assert np.array_equal(qubo.pattern_energies(), whole)
+        einsum = qubo_energies_einsum(qubo.q, qubo.offset, all_patterns(n))
+        assert np.array_equal(qubo.pattern_energies(), einsum)
 
     def test_blocked_energies_at_the_cap_equal_per_row_einsum(self):
         n = 20
         qubo = random_qubo(n, seed=20)
-        energies = qubo.pattern_energies()
         rng = np.random.default_rng(5)
         # no bit, every bit, each single bit (a diagonal sub-cube only), and random rows
-        rows = np.concatenate([
+        index = np.concatenate([
             [0, (1 << n) - 1],
             1 << np.arange(n),
             rng.integers(0, 1 << n, 300),
         ])
-        for index in rows:
-            x = index_to_pattern(index, n).astype(float)
-            assert energies[index] == np.einsum("i,ij,j->", x, qubo.q, x) + qubo.offset
+        rows = index_to_pattern(index, n)
+        einsum = qubo_energies_einsum(qubo.q, qubo.offset, rows)
+        assert np.array_equal(qubo.pattern_energies()[index], einsum)
+        assert np.array_equal(qubo.values(rows), einsum)
+
+    def test_values_read_the_table(self):
+        qubo = random_qubo(8, seed=8)
+        rows = np.random.default_rng(9).integers(0, 2, (1000, 8), dtype=np.int8)
+        einsum = qubo_energies_einsum(qubo.q, qubo.offset, rows)
+        for batch in (rows, rows.astype(float), rows.astype(bool)):
+            assert np.array_equal(qubo.values(batch), einsum)
+        assert qubo.values(rows[7]) == einsum[7]  # one row, one energy
+        assert qubo.values(rows.reshape(10, 100, 8)).shape == (10, 100)
+
+    @pytest.mark.parametrize("row, named", [
+        ([0, 0.5, 1], r"0 or 1, got \[0.5\]"),
+        ([2, 0, 1], r"0 or 1, got \[2\]"),
+        ([0, 1], r"patterns \(2,\) are not rows of 3 bits"),
+        ([[0, 1, 0, 1]], r"patterns \(1, 4\) are not rows of 3 bits"),
+    ], ids=["half", "two", "short", "long"])
+    def test_values_refuse_rows_that_are_not_patterns(self, row, named):
+        with pytest.raises(ValueError, match=named):
+            random_qubo(3, seed=3).values(row)
 
     def test_energy_order_is_stable_argsort(self):
         # duplicated energies: the stable order keeps ascending pattern index
@@ -191,6 +216,18 @@ class TestQuboProblem:
             qubo.pattern_energies(), kind="stable"
         ).tolist()
         assert order.tolist() == [4, 5, 6, 0, 7, 1, 2, 3]
+
+    def test_energy_order_traced_peak_at_the_cap(self):
+        # the argsort is frozen in place: a frozen copy would double its 8 MiB
+        qubo = random_qubo(20, seed=20)
+        qubo.pattern_energies()  # built outside the trace
+        tracemalloc.start()
+        try:
+            qubo.energy_order()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
 
 
 class TestBruteForce:
@@ -247,7 +284,7 @@ class TestExpectedEnergyExact:
         probs = np.zeros(4)
         probs[3] = 1.0  # pattern (1, 1)
         dist = PatternDistribution(n_modes=2, probs=probs)
-        assert expected_energy_exact(qubo, dist) == pytest.approx(qubo.value([1, 1]))
+        assert expected_energy_exact(qubo, dist) == pytest.approx(qubo.values([1, 1]))
 
     def test_uniform_identity(self):
         qubo = QuboProblem(q=np.eye(2), offset=0.0)

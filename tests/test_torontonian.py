@@ -510,7 +510,10 @@ class TestLawAtTheModeCap:
     A pattern with k clicks reads f(W) for |W| from 20 - k to 20, so the
     entries cover every level from 9 up; a marginal on 8 modes reads f(W)
     for |W| <= 8, but each of its entries sums the transform over all 20
-    bits.  A replacement kernel must pass these tests unmodified.
+    bits.  Both are held to absolute tolerances, which at radius 4, with
+    entries below 1e-20, see no relative fault; the vacuum marginals are
+    held relatively at every level.  A replacement kernel must pass these
+    tests unmodified.
     """
 
     def test_entries_against_the_torontonian_oracle(self, law_at_cap):
@@ -539,6 +542,23 @@ class TestLawAtTheModeCap:
             clicks = [j for j in range(8) if (z >> j) & 1]
             assert marginal[z] == pytest.approx(oracle_probability(reduced, clicks),
                                                 rel=0, abs=1e-12)
+
+    def test_vacuum_marginals_relative_to_the_covariance(self, law_at_cap):
+        # f(W) = 1 / sqrt(det Sigma_W) is the law summed over the patterns
+        # dark on W; every term is f of a superset of W, so the sum keeps
+        # f(W)'s relative accuracy (worst seen 4.0e-13, at radius 0.5),
+        # where a level's determinants off by 1 + 1e-9 move it by 5e-10
+        theta, _, law = law_at_cap
+        sigma = husimi_sigma(theta)
+        rng = np.random.default_rng(4)
+        index = np.arange(law.probs.size)
+        for k in [*range(1, 21), *range(1, 21)]:
+            modes = rng.choice(20, size=k, replace=False)
+            mask = int(sum(1 << int(m) for m in modes))
+            dark = law.probs[(index & mask) == 0].sum()
+            ix = np.concatenate([modes, modes + 20])
+            assert dark == pytest.approx(1.0 / np.sqrt(np.linalg.det(sigma[np.ix_(ix, ix)])),
+                                         rel=1e-11, abs=0)
 
     def test_mean_energy_against_the_closed_form(self, law_at_cap):
         # the clip of negative roundoff in full_distribution, not the
@@ -721,6 +741,24 @@ class TestPatternIndexing:
         patterns = all_patterns(3)
         assert patterns.shape == (8, 3)
         assert [pattern_index(p) for p in patterns] == list(range(8))
+
+    def test_batches_give_int64_indices(self):
+        patterns = all_patterns(5)
+        for batch in (patterns, patterns.astype(float), patterns.astype(bool)):
+            index = pattern_index(batch)
+            assert index.dtype == np.int64 and index.tolist() == list(range(32))
+        index = pattern_index(patterns.reshape(4, 8, 5))
+        assert index.tolist() == np.arange(32).reshape(4, 8).tolist()
+        assert pattern_index(np.zeros((0, 5))).shape == (0,)
+
+    @pytest.mark.parametrize("pattern, named", NOT_ZERO_ONE + [
+        ([0.5, 1], r"0 or 1, got \[0.5\]"),
+        ([[0, 1], [1, 2]], r"0 or 1, got \[2\]"),
+        ([np.nan, 1], r"0 or 1, got \[nan\]"),
+    ], ids=["two", "half", "minus-one", "half-one", "batch", "nan"])
+    def test_refuses_entries_other_than_zero_or_one(self, pattern, named):
+        with pytest.raises(ValueError, match=named):
+            pattern_index(pattern)
 
 
 def test_subset_levels_match_enumeration():
